@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import subjohnson
-from .exactnum import QuadNum, parse_quad
+from .exactnum import parse_quad
 from .families import Parameters, enumerate_families, is_addable, max_sq_dist
 from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, UniverseTooLarge, classify, verify_point_set
 from .numbertheory import is_extendable, max_extendable_n, special_factor
@@ -324,17 +324,23 @@ def _cmd_corollary(config: RunConfig):
 def _parse_coordinate(value):
     if isinstance(value, str):
         return parse_quad(value)
-    if isinstance(value, int):
-        return QuadNum.of(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ValueError(f"coordinates must be exact strings or integers, got {value!r}")
+
+
+def _read_points(path: str) -> list[tuple]:
+    with open(path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValueError("expected a JSON array of arrays of coordinates")
+    return [tuple(_parse_coordinate(c) for c in row) for row in raw]
 
 
 def _cmd_verify(config: RunConfig):
     try:
-        with open(config.file, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        points = [tuple(_parse_coordinate(c) for c in row) for row in raw]
-    except (OSError, ValueError, TypeError) as exc:
+        points = _read_points(config.file)
+    except (OSError, ValueError) as exc:
         print(f"cannot read point set: {exc}", file=sys.stderr)
         return 2, None, "", []
     ok, spectrum = verify_point_set(points, config.m, johnson=config.johnson)

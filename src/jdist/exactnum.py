@@ -6,6 +6,10 @@ elements of multiquadratic extensions of the rationals, i.e. finite sums
 squarefree integer radicands.  Rationals are plain
 :class:`fractions.Fraction`; :class:`QuadNum` adds the radical layer with
 exact equality, exact sign determination, and quadratic-equation solving.
+Point sets are compared through :class:`IntPointSet`, which rewrites a
+whole set as integer vectors over one denominator and radicand basis, so
+that squared distances are keyed by integers instead of being summed as
+``QuadNum`` values.
 
 No floating point feeds any decision anywhere; ``float(q)`` exists only as
 a sanity cross-check for tests.
@@ -14,9 +18,10 @@ a sanity cross-check for tests.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -230,6 +235,100 @@ def sqrt_rational(r: object) -> QuadNum:
     return QuadNum({f: Fraction(s, r.denominator)})
 
 
+def _scalar_terms(value: Scalar) -> tuple[tuple[int, object], ...]:
+    if isinstance(value, QuadNum):
+        return value.terms
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact scalar, got {value!r}")
+    return ((1, value),) if value else ()
+
+
+# A squared-distance key: ``(radicand, integer)`` pairs, ascending radicand.
+Key = tuple[tuple[int, int], ...]
+
+
+class IntPointSet:
+    """A point set as integer vectors over one denominator and radicand basis.
+
+    Every coordinate of every point is written ``(x_0 + x_1*sqrt(r_1) +
+    ...) / D`` with integers ``x_i``, one common denominator ``D`` and one
+    ascending squarefree basis ``radicands = (1, r_1, ...)`` shared by the
+    whole set.  ``vectors[k]`` holds point k flat, component-major: the
+    ``x_0`` of every coordinate, then the ``x_1`` of every coordinate, ...
+
+    The squared distance of two points is a sum of products ``x_i*x_j``,
+    and ``sqrt(r_i*r_j) = s*sqrt(f)`` with ``f`` squarefree; the table of
+    those ``(s, f)`` is built once per set.  A squared distance is keyed by
+    its ``(f, D^2 * coefficient)`` pairs with zero coefficients dropped.
+    Distinct squarefree radicands are linearly independent and the scale is
+    shared, so two squared distances of one set are equal exactly when
+    their keys are.  Keys of different sets do not compare.
+    """
+
+    __slots__ = ("radicands", "denominator", "vectors", "_plan")
+
+    def __init__(self, points: Iterable[Sequence[Scalar]]):
+        points = list(points)
+        dim = len(points[0]) if points else 0
+        if any(len(p) != dim for p in points):
+            raise ValueError("points have mixed dimensions")
+        radicands, denominators = {1}, {1}
+        for p in points:
+            for c in p:
+                for rad, coeff in _scalar_terms(c):
+                    radicands.add(rad)
+                    denominators.add(coeff.denominator)
+        self.radicands = tuple(sorted(radicands))
+        self.denominator = math.lcm(*denominators)
+        offset = {rad: i * dim for i, rad in enumerate(self.radicands)}
+        vectors = []
+        for p in points:
+            flat = [0] * (len(self.radicands) * dim)
+            for k, c in enumerate(p):
+                for rad, coeff in _scalar_terms(c):
+                    flat[offset[rad] + k] = coeff.numerator * (self.denominator // coeff.denominator)
+            vectors.append(tuple(flat))
+        self.vectors = tuple(vectors)
+
+        # f -> the (i, j, weight) whose products x_i*x_j land on sqrt(f):
+        # a square r_i^2 on f = 1 with weight r_i, and for i < j the cross
+        # term 2*x_i*x_j*sqrt(r_i*r_j) = 2g*x_i*x_j*sqrt((r_i/g)*(r_j/g));
+        # i and j are stored as the slices of their components
+        parts = [slice(i * dim, (i + 1) * dim) for i in range(len(self.radicands))]
+        plan: dict[int, list[tuple[slice, slice, int]]] = {}
+        for i, r in enumerate(self.radicands):
+            plan.setdefault(1, []).append((parts[i], parts[i], r))
+            for j in range(i + 1, len(self.radicands)):
+                g = math.gcd(r, self.radicands[j])
+                f = (r // g) * (self.radicands[j] // g)
+                plan.setdefault(f, []).append((parts[i], parts[j], 2 * g))
+        self._plan = tuple((f, tuple(plan[f])) for f in sorted(plan))
+
+    def sq_dist_key(self, p: tuple[int, ...], q: tuple[int, ...]) -> Key:
+        """Key of the squared distance between two of :attr:`vectors`."""
+        diff = list(map(operator.sub, p, q))
+        key = []
+        for f, products in self._plan:
+            v = 0
+            for i, j, weight in products:
+                v += weight * sum(map(operator.mul, diff[i], diff[j]))
+            if v:
+                key.append((f, v))
+        return tuple(key)
+
+    def key_of(self, value: Scalar) -> Key:
+        """The key a squared distance equal to ``value`` has in this set."""
+        scale = self.denominator**2
+        return tuple((rad, coeff * scale) for rad, coeff in _scalar_terms(value))
+
+    def value_of(self, key: Key) -> Fraction | QuadNum:
+        """The exact squared distance of a key: a Fraction when rational."""
+        scale = self.denominator**2
+        if all(rad == 1 for rad, _ in key):
+            return Fraction(key[0][1], scale) if key else Fraction(0)
+        return QuadNum((rad, Fraction(v, scale)) for rad, v in key)
+
+
 def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:
     """Both exact roots of ``a*x^2 + b*x + c = 0``, minus-branch first."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -280,7 +379,10 @@ def parse_quad(text: str) -> QuadNum:
         match = _TERM_RE.match(part.strip())
         if not match:
             raise ValueError(f"cannot parse scalar term {part!r}")
-        coeff = Fraction(match.group(1))
+        try:
+            coeff = Fraction(match.group(1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar term {part!r}") from None
         rad = int(match.group(2)) if match.group(2) else 1
         terms.append((rad, coeff))
     return QuadNum(terms)

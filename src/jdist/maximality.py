@@ -14,12 +14,11 @@ genuinely open instance honest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import QuadNum
+from .exactnum import IntPointSet
 from .families import (
     CandidateFamily,
     Parameters,
@@ -338,49 +337,22 @@ def maximal_clique_structure(
 def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):
     """Check a point set realizes at most m distinct distances.
 
-    Returns ``(ok, spectrum)`` with the exact sorted squared distances.
-    With ``johnson=True`` the values must additionally all lie in
-    {2, 4, ..., 2m}, the distance set of the Johnson representation.
+    Returns ``(ok, spectrum)`` with the exact sorted squared distances,
+    each a Fraction when rational and a QuadNum otherwise.  With
+    ``johnson=True`` the values must additionally all lie in {2, 4, ...,
+    2m}, the distance set of the Johnson representation.
     """
-    pts = [tuple(p) for p in points]
-    if not pts:
-        return True, ()
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
-        raise ValueError("points have mixed dimensions")
-
-    if all(isinstance(c, (int, Fraction)) for p in pts for c in p):
-        scale = math.lcm(*(Fraction(c).denominator for p in pts for c in p))
-        ints = [tuple(int(Fraction(c) * scale) for c in p) for p in pts]
-        found: set[int] = set()
-        for i in range(len(ints)):
-            pi = ints[i]
-            for j in range(i + 1, len(ints)):
-                d = 0
-                for a, b in zip(pi, ints[j]):
-                    d += (a - b) * (a - b)
-                found.add(d)
-        sq = scale * scale
-        values = sorted(Fraction(d, sq) for d in found if d)
-    else:
-        quad_pts = [tuple(QuadNum.of(c) for c in p) for p in pts]
-        quad_found: set[QuadNum] = set()
-        for i in range(len(quad_pts)):
-            pi = quad_pts[i]
-            for j in range(i + 1, len(quad_pts)):
-                d = QuadNum()
-                for a, b in zip(pi, quad_pts[j]):
-                    diff = a - b
-                    d = d + diff * diff
-                quad_found.add(d)
-        quad_found.discard(QuadNum())
-        values = sorted(quad_found)  # exact sign-based ordering
+    exact = IntPointSet(points)
+    key, vectors = exact.sq_dist_key, exact.vectors
+    found = {key(p, q) for i, p in enumerate(vectors) for q in vectors[i + 1 :]}
+    found.discard(())  # coincident points
+    values = tuple(sorted(exact.value_of(k) for k in found))  # exact ordering
 
     ok = len(values) <= m
     if johnson:
         allowed = {2 * i for i in range(1, m + 1)}
         ok = ok and all(v in allowed for v in values)
-    return ok, tuple(values)
+    return ok, values
 
 
 def four_distance_witness_points() -> list[tuple[Fraction, ...]]:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import NegativeDiscriminant, QuadNum, solve_quadratic
+from .exactnum import IntPointSet, NegativeDiscriminant, QuadNum, solve_quadratic
 
-TWO_DISTANCE = (QuadNum.of(2), QuadNum.of(4))
+TWO_DISTANCE = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -183,20 +183,8 @@ def solve_sub_families(n: int) -> list[SubFamily]:
 
 
 def sq_dist_points(p: Sequence, q: Sequence) -> QuadNum:
-    d = QuadNum()
-    for a, b in zip(p, q):
-        diff = QuadNum.of(a) - QuadNum.of(b)
-        d = d + diff * diff
-    return d
-
-
-def _pair_two_distance(points_a, points_b, same: bool) -> bool:
-    for i, p in enumerate(points_a):
-        start = i + 1 if same else 0
-        for q in points_b[start:]:
-            if sq_dist_points(p, q) not in TWO_DISTANCE:
-                return False
-    return True
+    exact = IntPointSet([p, q])
+    return QuadNum.of(exact.value_of(exact.sq_dist_key(*exact.vectors)))
 
 
 @dataclass(frozen=True)
@@ -227,14 +215,26 @@ def combination_search(n: int) -> CombinationReport:
     families and flagged maximal when no further family fits.
     """
     families = solve_sub_families(n)
-    points = [f.points() for f in families]
+    exact = IntPointSet([p for f in families for p in f.points()])
+    allowed = {exact.key_of(d) for d in TWO_DISTANCE}
+    blocks = []
+    start = 0
+    for f in families:
+        blocks.append(exact.vectors[start : start + f.size])
+        start += f.size
     count = len(families)
+    key = exact.sq_dist_key
 
-    intra = tuple(_pair_two_distance(points[i], points[i], True) for i in range(count))
+    def two_distance(i: int, j: int) -> bool:
+        for pos, p in enumerate(blocks[i]):
+            for q in blocks[j][pos + 1 :] if i == j else blocks[j]:
+                if key(p, q) not in allowed:
+                    return False
+        return True
+
+    intra = tuple(two_distance(i, i) for i in range(count))
     usable = [i for i in range(count) if intra[i]]
-    compatible = {}
-    for i, j in itertools.combinations(usable, 2):
-        compatible[(i, j)] = _pair_two_distance(points[i], points[j], False)
+    compatible = {(i, j): two_distance(i, j) for i, j in itertools.combinations(usable, 2)}
 
     combos = []
     valid_sets = []
@@ -261,10 +261,10 @@ def combination_search(n: int) -> CombinationReport:
     return CombinationReport(n, tuple(families), intra, tuple(combos))
 
 
-def union_points(n: int, labels: Sequence[str]) -> list[tuple[QuadNum, ...]]:
+def union_points(n: int, labels: Sequence[str]) -> list[tuple[Fraction | QuadNum, ...]]:
     """The Johnson points plus the orbits of the labelled families."""
     by_label = {f.label: f for f in solve_sub_families(n)}
-    points = [tuple(QuadNum.of(c) for c in p) for p in sub_johnson_points(n)]
+    points: list[tuple[Fraction | QuadNum, ...]] = list(sub_johnson_points(n))
     for label in labels:
         points.extend(by_label[label].points())
     return points
@@ -275,21 +275,27 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
 
     Backtracking match over exact squared-distance multisets: points can
     only map to points with identical distance profiles, and every placed
-    pair must preserve the distance to everything already placed.
+    pair must preserve the distance to everything already placed.  Both
+    sets are keyed over one shared :class:`IntPointSet`; points are padded
+    with zero coordinates to the largest dimension, which changes no
+    distance.
     """
     if len(set_a) != len(set_b):
         return False
-    pts_a = [tuple(QuadNum.of(c) for c in p) for p in set_a]
-    pts_b = [tuple(QuadNum.of(c) for c in p) for p in set_b]
-    size = len(pts_a)
+    size = len(set_a)
     if size == 0:
         return True
 
-    da = [[sq_dist_points(p, q) for q in pts_a] for p in pts_a]
-    db = [[sq_dist_points(p, q) for q in pts_b] for p in pts_b]
+    points = [*set_a, *set_b]
+    dim = max(map(len, points))
+    exact = IntPointSet([(*p, *[0] * (dim - len(p))) for p in points])
+    key = exact.sq_dist_key
+    pts_a, pts_b = exact.vectors[:size], exact.vectors[size:]
+    da = [[key(p, q) for q in pts_a] for p in pts_a]
+    db = [[key(p, q) for q in pts_b] for p in pts_b]
 
     def signature(matrix, i):
-        return tuple(sorted(Counter(str(d) for j, d in enumerate(matrix[i]) if j != i).items()))
+        return tuple(sorted(Counter(d for j, d in enumerate(matrix[i]) if j != i).items()))
 
     sig_a = [signature(da, i) for i in range(size)]
     sig_b = [signature(db, i) for i in range(size)]

@@ -250,6 +250,7 @@ def test_acceptance_10_spectra_against_materialized_points():
 
 def test_acceptance_11_congruences():
     with criterion(11, "single-slot unions match the larger representation; mirrors congruent"):
+        start = time.perf_counter()
         for n in range(5, 11):
             reference = [tuple(p) for p in johnson_points(Parameters(n, 2))]
             assert congruent(union_points(n, ["S3+"]), reference), n
@@ -264,3 +265,4 @@ def test_acceptance_11_congruences():
 
         assert congruent(union_points(5, ["S3+"]), union_points(5, ["S4+"]))
         assert congruent(union_points(5, ["S3-"]), union_points(5, ["S4-"]))
+        assert time.perf_counter() - start < 5.0

@@ -116,7 +116,7 @@ def test_sub2_flags():
     assert reference[("S1+", "S1-")]["computed_total"] == 8
 
 
-def test_verify_command(tmp_path):
+def test_verify_command(tmp_path, capsys):
     path = tmp_path / "points.json"
     points = [["1", "1", "0", "0"], ["1", "0", "1", "0"], ["0", "1", "1", "0"]]
     path.write_text(json.dumps(points), encoding="utf-8")
@@ -135,6 +135,14 @@ def test_verify_command(tmp_path):
     path.write_text("[not json", encoding="utf-8")
     code, _ = invoke("verify", str(path), "--m", "2")
     assert code == 2
+
+    capsys.readouterr()
+    for bad in ('{"12": 1}', '"12"', "[[true, false], [false, true]]", '[["1/0", "0"]]'):
+        path.write_text(bad, encoding="utf-8")
+        code, out = invoke("verify", str(path), "--m", "2")
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("cannot read point set: ") and err.count("\n") == 1, (bad, err)
 
 
 def test_output_file(tmp_path):

@@ -197,6 +197,18 @@ def test_congruent_examples():
         union_points(9, ["S1+"]), union_points(9, ["S1+", "S1-"])
     )  # size mismatch
     assert not congruent(union_points(6, ["S3+"]), union_points(6, ["S4+"]))
+    # a zero-padded copy lives in a larger dimension but is the same set
+    padded = [(*p, 0, 0) for p in ref]
+    assert congruent(ref, padded)
+    assert congruent(padded, union_points(7, ["S3+"]))
+
+    # both sets must be keyed over one scale: doubling halves the even
+    # denominators (4, and 42 with sqrt(21)), the shift adds the denominator 11
+    for points in (union_points(9, ["S3+"]), union_points(7, ["S4+"])):
+        doubled = [tuple(2 * c for c in p) for p in points]
+        shifted = [tuple(c + F(i + 1, 11) for i, c in enumerate(p)) for p in points]
+        assert not congruent(points, doubled)
+        assert congruent(points, shifted)
 
 
 def test_congruent_n5_bridge():
