@@ -6,6 +6,9 @@ column wherever reference values are embedded; FLAG marks the known
 places where a printed reference total disagrees with recomputation
 (those are reported, never silently adopted).
 
+Each handler returns one :class:`Report`; :func:`run` renders it as text,
+JSON or CSV.
+
 Exit codes: 0 success, 2 invalid arguments, 3 when a clique search hit
 its node budget without proving optimality (the report is still written).
 """
@@ -16,15 +19,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import subjohnson
 from .exactnum import parse_quad
 from .families import Parameters, enumerate_families, is_addable, max_sq_dist
-from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, UniverseTooLarge, classify, verify_point_set
+from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, classify, verify_point_set
 from .numbertheory import is_extendable, max_extendable_n, special_factor
 
 TABLE_SEARCH_BUDGET = 20_000
@@ -66,59 +67,47 @@ SUB2_EXPECTED = {
 
 
 @dataclass
-class RunConfig:
-    subcommand: str
-    n: int | None = None
-    m: int | None = None
-    m_max: int | None = None
-    file: str | None = None
-    johnson: bool = False
-    addable_only: bool = False
-    budget: int = DEFAULT_BUDGET
-    cap: int = DEFAULT_CAP
-    fmt: str = "text"
-    output: str | None = None
-    workers: int = field(default_factory=lambda: _workers_from_env())
+class Report:
+    """One subcommand's report, shaped for each output format."""
+
+    results: dict  # the JSON body
+    rows: list  # the CSV table, header first
+    lines: list  # the text report
+    code: int = 0  # the exit code
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("JDIST_WORKERS", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 1
-        return max(1, value)
-    return os.cpu_count() or 1
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _map_rows(func, items, workers: int) -> list:
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
+def _records(columns, records) -> list:
+    """CSV table of flat dicts: the header, then one row per record."""
+    columns = tuple(columns)
+    return [columns] + [tuple(record[c] for c in columns) for record in records]
+
+
+def _columns(widths, rows) -> list:
+    """Fixed-width text table: cells right-aligned to ``widths``, the last column
+    unpadded, a missing value (None) shown as ``-``."""
+    cells = [["-" if cell is None else str(cell) for cell in row] for row in rows]
+    return [" ".join([c.rjust(w) for c, w in zip(row, widths)] + row[-1:]) for row in cells]
 
 
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_n0(config: RunConfig):
-    value = special_factor(config.n)
-    results = {"n": config.n, "special_factor": value}
-    text = f"{value}\n"
-    rows = [("n", "special_factor"), (config.n, value)]
-    return 0, results, text, rows
+def _cmd_n0(config: argparse.Namespace) -> Report:
+    results = {"n": config.n, "special_factor": special_factor(config.n)}
+    return Report(results, _records(results, [results]), [str(results["special_factor"])])
 
 
-def _cmd_predicate(config: RunConfig):
-    value = is_extendable(config.n, config.m)
-    results = {"n": config.n, "m": config.m, "extendable": value}
-    text = f"not maximal: {str(value).lower()}\n"
-    rows = [("n", "m", "extendable"), (config.n, config.m, value)]
-    return 0, results, text, rows
+def _cmd_predicate(config: argparse.Namespace) -> Report:
+    results = {"n": config.n, "m": config.m, "extendable": is_extendable(config.n, config.m)}
+    lines = [f"not maximal: {_flag(results['extendable'])}"]
+    return Report(results, _records(results, [results]), lines)
 
 
-def _cmd_families(config: RunConfig):
+def _cmd_families(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
     entries = []
     for fam in enumerate_families(params):
@@ -128,30 +117,21 @@ def _cmd_families(config: RunConfig):
         entries.append(dict(fam.to_json(), addable=addable, peak_sq_dist=str(max_sq_dist(fam))))
     results = {"n": config.n, "m": config.m, "count": len(entries), "families": entries}
     lines = [f"families for n={config.n}, m={config.m}: {len(entries)}"]
-    rows = [("n", "m", "k0", "k", "size", "addable", "peak_sq_dist")]
     for e in entries:
         lines.append(
             f"  k0={e['k0']:>4}  k={tuple(e['k'])!s:<20} size={e['size']:>8} "
-            f"addable={str(e['addable']).lower():<5} peak={e['peak_sq_dist']}"
+            f"addable={_flag(e['addable']):<5} peak={e['peak_sq_dist']}"
         )
-        rows.append(
-            (
-                config.n,
-                config.m,
-                e["k0"],
-                " ".join(map(str, e["k"])),
-                e["size"],
-                e["addable"],
-                e["peak_sq_dist"],
-            )
-        )
-    return 0, results, "\n".join(lines) + "\n", rows
+    rows = _records(
+        ("n", "m", "k0", "k", "size", "addable", "peak_sq_dist"),
+        [dict(e, k=" ".join(map(str, e["k"]))) for e in entries],
+    )
+    return Report(results, rows, lines)
 
 
-def _cmd_classify(config: RunConfig):
+def _cmd_classify(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
     report = classify(params, budget=config.budget, cap=config.cap)
-    results = report.to_json()
     lines = [
         f"classification for n={params.n}, m={params.m}",
         f"  johnson points: {params.johnson_size}",
@@ -160,12 +140,12 @@ def _cmd_classify(config: RunConfig):
     for fam in report.addable:
         lines.append(f"    k0={fam.offset}  k={fam.counts}  size={fam.size}")
     lines.append(f"  candidate points: {report.universe_size}")
-    lines.append(f"  complete compatibility: {str(report.complete).lower()}")
+    lines.append(f"  complete compatibility: {_flag(report.complete)}")
     for item in report.incompatibilities:
         lines.append(f"    conflict: {item}")
     lines.append(f"  added: {report.added_count}")
     lines.append(f"  maximal set cardinality: {report.maximal_set_cardinality}")
-    lines.append(f"  optimal: {str(report.optimal).lower()}")
+    lines.append(f"  optimal: {_flag(report.optimal)}")
     if report.clique_structure is not None:
         s = report.clique_structure
         lines.append(
@@ -174,151 +154,126 @@ def _cmd_classify(config: RunConfig):
     if report.witness is not None:
         w = report.witness
         lines.append(
-            f"  witness: {w.size} points, verified={str(w.verified).lower()}, "
+            f"  witness: {w.size} points, verified={_flag(w.verified)}, "
             f"spectrum {{{', '.join(str(v) for v in w.spectrum)}}}"
         )
     for note in report.notes:
         lines.append(f"  note: {note}")
-    rows = [("n", "m", "added", "total", "optimal"), report.csv_row()]
-    code = 0 if report.optimal else 3
-    return code, results, "\n".join(lines) + "\n", rows
+    rows = [
+        ("n", "m", "added", "total", "optimal"),
+        (params.n, params.m, report.added_count, report.maximal_set_cardinality, report.optimal),
+    ]
+    return Report(report.to_json(), rows, lines, 0 if report.optimal else 3)
 
 
-def _cmd_tables(config: RunConfig):
+def _table_status(report, expected) -> str:
+    """PASS/FAIL against a reference row, CONJ for the open row, NEW without one;
+    a reference row that the scan did not reach (no report) FAILs."""
+    if report is None:
+        return "FAIL"
+    if expected is None:
+        return "NEW"
+    added, total, kind = expected
+    if (report.added_count, report.maximal_set_cardinality) != (added, total):
+        return "FAIL"
+    if kind == "conjecture" and not report.optimal:
+        return "CONJ"
+    return "PASS"
+
+
+def _cmd_tables(config: argparse.Namespace) -> Report:
     m = config.m
     expected = TABLES_EXPECTED[m]
-    ns = [n for n in range(2 * m, max_extendable_n(m) + 1) if is_extendable(n, m)]
     budget = min(config.budget, TABLE_SEARCH_BUDGET)
-    reports = _map_rows(
-        lambda n: classify(Parameters(n, m), budget=budget, cap=config.cap),
-        ns,
-        config.workers,
-    )
-
+    ns = [n for n in range(2 * m, max_extendable_n(m) + 1) if is_extendable(n, m)]
     entries = []
-    truncated = False
-    for n, report in zip(ns, reports):
-        exp = expected.get(n)
-        if exp is None:
-            status = "NEW"
-        else:
-            added, total, kind = exp
-            matches = report.added_count == added and report.maximal_set_cardinality == total
-            if not matches:
-                status = "FAIL"
-            elif kind == "conjecture" and not report.optimal:
-                status = "CONJ"
-            else:
-                status = "PASS"
-        if not report.optimal:
-            truncated = True
-        entries.append((n, report, status))
-    for n in expected:
-        if n not in ns:
-            entries.append((n, None, "FAIL"))
-
-    results = {
-        "m": m,
-        "rows": [
+    for n in ns + [n for n in expected if n not in ns]:
+        report = classify(Parameters(n, m), budget=budget, cap=config.cap) if n in ns else None
+        entries.append(
             {
                 "n": n,
                 "families": [f.to_json() for f in report.addable] if report else [],
                 "added": report.added_count if report else None,
                 "total": report.maximal_set_cardinality if report else None,
                 "optimal": report.optimal if report else None,
-                "status": status,
+                "status": _table_status(report, expected.get(n)),
             }
-            for n, report, status in entries
-        ],
-    }
-    lines = [f"classification table for m={m}", f"{'n':>4} {'added':>7} {'total':>9} status"]
+        )
+
     rows = [("n", "m", "family", "added", "total", "status")]
-    for n, report, status in entries:
-        if report is None:
-            lines.append(f"{n:>4} {'-':>7} {'-':>9} {status}")
-            rows.append((n, m, "*", "", "", status))
-            continue
-        for fam in report.addable:
-            rows.append(
-                (n, m, f"k0={fam.offset} k={','.join(map(str, fam.counts))}", fam.size, "", "")
-            )
-        lines.append(f"{n:>4} {report.added_count:>7} {report.maximal_set_cardinality:>9} {status}")
-        rows.append((n, m, "*", report.added_count, report.maximal_set_cardinality, status))
-    code = 3 if truncated else 0
-    return code, results, "\n".join(lines) + "\n", rows
+    for e in entries:
+        for f in e["families"]:
+            family = f"k0={f['k0']} k={','.join(map(str, f['k']))}"
+            rows.append((e["n"], m, family, f["size"], "", ""))
+        rows.append((e["n"], m, "*", e["added"], e["total"], e["status"]))  # csv writes None as ""
+    table = _records(("n", "added", "total", "status"), entries)
+    lines = [f"classification table for m={m}"] + _columns((4, 7, 9), table)
+    code = 3 if any(e["optimal"] is False for e in entries) else 0
+    return Report({"m": m, "rows": entries}, rows, lines, code)
 
 
-def _cmd_sub2(config: RunConfig):
+def _sub2_check(combo, added, bracket, disputed) -> str:
+    """FAIL unless the combination is found with the reference count of added
+    vectors; then FLAG a disputed bracket, else PASS when the totals agree."""
+    if combo is None or combo.added != added:
+        return "FAIL"
+    if disputed:
+        return "FLAG"
+    return "PASS" if combo.total == bracket else "FAIL"
+
+
+def _cmd_sub2(config: argparse.Namespace) -> Report:
     n = config.n
     report = subjohnson.combination_search(n)
-    expected = SUB2_EXPECTED.get(n, [])
     found = {c.labels: c for c in report.combinations}
-
     comparisons = []
-    for labels, added, bracket, disputed in expected:
+    for labels, added, bracket, disputed in SUB2_EXPECTED.get(n, []):
         combo = found.get(labels)
-        if combo is None or combo.added != added:
-            status = "FAIL"
-            recomputed = combo.total if combo else None
-        elif disputed:
-            status = "FLAG"
-            recomputed = combo.total
-        else:
-            status = "PASS" if combo.total == bracket else "FAIL"
-            recomputed = combo.total
         comparisons.append(
             {
                 "families": list(labels),
                 "added": added,
                 "reference_total": bracket,
-                "computed_total": recomputed,
-                "status": status,
+                "computed_total": combo.total if combo else None,
+                "status": _sub2_check(combo, added, bracket, disputed),
             }
         )
 
-    results = dict(report.to_json(), reference=comparisons)
     lines = [
         f"two-distance extensions of the fixed-last-axis representation, n={n}",
         f"  johnson points: {subjohnson.sub_johnson_size(n)}",
         "  families:",
     ]
     for fam, ok in zip(report.families, report.intra_valid):
-        lines.append(f"    {fam.label}: {fam.describe()}  size={fam.size} intra={str(ok).lower()}")
+        lines.append(f"    {fam.label}: {fam.describe()}  size={fam.size} intra={_flag(ok)}")
     lines.append("  maximal combinations:")
     for combo in report.combinations:
         if combo.maximal:
             lines.append(f"    {' + '.join(combo.labels)}: {combo.added} vectors [{combo.total}]")
     if comparisons:
         lines.append("  reference check:")
-        for item in comparisons:
-            label = " + ".join(item["families"])
-            if item["status"] == "FLAG":
-                lines.append(
-                    f"    {label}: reference [{item['reference_total']}] vs recomputed "
-                    f"[{item['computed_total']}]  FLAG"
-                )
-            else:
-                lines.append(f"    {label}: [{item['reference_total']}]  {item['status']}")
+    for item in comparisons:
+        total = f"[{item['reference_total']}]"
+        if item["status"] == "FLAG":
+            total = f"reference {total} vs recomputed [{item['computed_total']}]"
+        lines.append(f"    {' + '.join(item['families'])}: {total}  {item['status']}")
     rows = [("n", "families", "added", "total", "maximal")]
     for combo in report.combinations:
         rows.append((n, " ".join(combo.labels), combo.added, combo.total, combo.maximal))
-    return 0, results, "\n".join(lines) + "\n", rows
+    return Report(dict(report.to_json(), reference=comparisons), rows, lines)
 
 
-def _cmd_corollary(config: RunConfig):
+def _cmd_corollary(config: argparse.Namespace) -> Report:
     entries = []
     for m in range(2, config.m_max + 1):
         closed = max_extendable_n(m)
         scan_max = max((n for n in range(2 * m, closed + 51) if is_extendable(n, m)), default=None)
         status = "PASS" if scan_max == closed else "FAIL"
         entries.append({"m": m, "closed_form": closed, "scan_max": scan_max, "status": status})
-    results = {"rows": entries}
-    lines = ["largest extendable n per m", f"{'m':>3} {'closed':>7} {'scan':>7} status"]
-    rows = [("m", "closed_form", "scan_max", "status")]
-    for e in entries:
-        lines.append(f"{e['m']:>3} {e['closed_form']:>7} {e['scan_max']:>7} {e['status']}")
-        rows.append((e["m"], e["closed_form"], e["scan_max"], e["status"]))
-    return 0, results, "\n".join(lines) + "\n", rows
+    rows = _records(("m", "closed_form", "scan_max", "status"), entries)
+    header = ("m", "closed", "scan", "status")
+    lines = ["largest extendable n per m"] + _columns((3, 7, 7), [header] + rows[1:])
+    return Report({"rows": entries}, rows, lines)
 
 
 def _parse_coordinate(value):
@@ -337,12 +292,12 @@ def _read_points(path: str) -> list[tuple]:
     return [tuple(_parse_coordinate(c) for c in row) for row in raw]
 
 
-def _cmd_verify(config: RunConfig):
+def _cmd_verify(config: argparse.Namespace) -> Report | None:
     try:
         points = _read_points(config.file)
     except (OSError, ValueError) as exc:
         print(f"cannot read point set: {exc}", file=sys.stderr)
-        return 2, None, "", []
+        return None
     ok, spectrum = verify_point_set(points, config.m, johnson=config.johnson)
     results = {
         "file": config.file,
@@ -352,12 +307,13 @@ def _cmd_verify(config: RunConfig):
         "valid": ok,
         "spectrum": [str(v) for v in spectrum],
     }
-    text = (
-        f"points: {len(points)}\nvalid: {str(ok).lower()}\n"
-        f"spectrum: {', '.join(str(v) for v in spectrum)}\n"
-    )
-    rows = [("points", "valid", "spectrum"), (len(points), ok, " ".join(str(v) for v in spectrum))]
-    return 0, results, text, rows
+    lines = [
+        f"points: {len(points)}",
+        f"valid: {_flag(ok)}",
+        f"spectrum: {', '.join(results['spectrum'])}",
+    ]
+    rows = [("points", "valid", "spectrum"), (len(points), ok, " ".join(results["spectrum"]))]
+    return Report(results, rows, lines)
 
 
 _HANDLERS = {
@@ -372,27 +328,25 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig, stream=None) -> int:
+def run(config: argparse.Namespace, stream=None) -> int:
     """Execute one subcommand and write its report; returns the exit code."""
-    code, results, text, rows = _HANDLERS[config.subcommand](config)
-    if results is None:
-        return code
+    report = _HANDLERS[config.subcommand](config)
+    if report is None:
+        return 2
 
     if config.fmt == "json":
         envelope = {
             "command": config.subcommand,
             "arguments": _public_arguments(config),
-            "results": results,
+            "results": report.results,
         }
         payload = json.dumps(envelope, indent=2) + "\n"
     elif config.fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(buffer).writerows(report.rows)
         payload = buffer.getvalue()
     else:
-        payload = text
+        payload = "\n".join(report.lines) + "\n"
 
     if config.output:
         with open(config.output, "w", encoding="utf-8") as handle:
@@ -400,13 +354,13 @@ def run(config: RunConfig, stream=None) -> int:
     else:
         out = stream if stream is not None else sys.stdout
         out.write(payload)
-    return code
+    return report.code
 
 
-def _public_arguments(config: RunConfig) -> dict:
+def _public_arguments(config: argparse.Namespace) -> dict:
     args = {}
     for key in ("n", "m", "m_max", "file", "johnson", "addable_only"):
-        value = getattr(config, key)
+        value = getattr(config, key, None)
         if value not in (None, False):
             args[key] = value
     args["budget"] = config.budget
@@ -415,14 +369,29 @@ def _public_arguments(config: RunConfig) -> dict:
     return args
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=`` that accepts integers ``>= low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", help="write the report to a file instead of stdout")
     common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="clique search node budget"
+        "--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="clique search node budget"
     )
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="point materialization cap")
+    common.add_argument(
+        "--cap", type=_int_at_least(0), default=DEFAULT_CAP, help="point materialization cap"
+    )
 
     parser = argparse.ArgumentParser(
         prog="jdist",
@@ -456,27 +425,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
 
     p = sub.add_parser("corollary", parents=[common], help="largest extendable n for each m")
-    p.add_argument("m_max", type=int)
+    p.add_argument("m_max", type=_int_at_least(2))
 
     p = sub.add_parser("verify", parents=[common], help="verify a point set from a JSON file")
     p.add_argument("file")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--johnson", action="store_true", help="require the Johnson distance set")
 
     return parser
 
 
-def config_from_args(argv=None) -> RunConfig:
-    namespace = build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(namespace).items() if v is not None}
-    return RunConfig(**fields)
+def config_from_args(argv=None) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     config = config_from_args(argv)
     try:
         return run(config)
-    except (ValueError, UniverseTooLarge) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,15 +36,21 @@ class NegativeDiscriminant(ArithmeticError):
     """The quadratic has no real roots."""
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Split ``n >= 1`` as ``s*s*f`` with ``f`` squarefree; return ``(s, f)``.
+# Largest integer that factorization accepts: trial division up to its
+# square root stays below 10**6 steps.  Every radicand and n of the
+# supported instances is many orders of magnitude smaller.
+MAX_FACTOR_INPUT = 10**12
 
-    Trial division; radicands in this domain stay small (products of a few
-    values bounded by ~2n^2).
+
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of ``1 <= n <= MAX_FACTOR_INPUT`` as ``(p, e)``
+    pairs with increasing primes, by trial division.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    square, free = 1, 1
+    if n > MAX_FACTOR_INPUT:
+        raise ValueError(f"{n} is above the supported factorization bound {MAX_FACTOR_INPUT}")
+    pairs = []
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -52,11 +58,21 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             while n % d == 0:
                 n //= d
                 e += 1
-            square *= d ** (e // 2)
-            if e % 2:
-                free *= d
+            pairs.append((d, e))
         d += 1 if d == 2 else 2
-    return square, free * n
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Split ``n >= 1`` as ``s*s*f`` with ``f`` squarefree; return ``(s, f)``."""
+    square, free = 1, 1
+    for p, e in prime_powers(n):
+        square *= p ** (e // 2)
+        if e % 2:
+            free *= p
+    return square, free
 
 
 class QuadNum:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .exactnum import squarefree_decompose
+
 Profile = tuple[int, ...]
 Point = tuple[Fraction, ...]
 
@@ -339,7 +341,8 @@ def _addable_candidates(params: Parameters) -> Iterator[CandidateFamily]:
     to scan.  Equivalent to filtering :func:`enumerate_families`.
     """
     n, m = params.n, params.m
-    step = _square_divisor_step(n)
+    square, free = squarefree_decompose(n)
+    step = square * free  # smallest d with n | d*d
 
     fam = CandidateFamily(params, n - m, (n,))
     if is_addable(fam):
@@ -393,22 +396,6 @@ def _tails(n: int, depth: int) -> Iterator[tuple[int, ...]]:
 
     # leave room for the first multiplicity
     yield from rec(0, n - 1)
-
-
-def _square_divisor_step(n: int) -> int:
-    """Smallest positive d with n | d*d."""
-    step = 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            step *= d ** ((e + 1) // 2)
-        d += 1 if d == 2 else 2
-    return step * rest
 
 
 def contracted_counts(counts: Sequence[int]) -> list[int]:

@@ -155,15 +155,6 @@ class ClassificationReport:
             }
         return out
 
-    def csv_row(self) -> tuple:
-        return (
-            self.params.n,
-            self.params.m,
-            self.clique_size,
-            self.maximal_set_cardinality,
-            self.optimal,
-        )
-
 
 def build_universe(params: Parameters, cap: int = DEFAULT_CAP) -> CandidateUniverse:
     """Materialize all addable candidate points and their compatibility."""
@@ -474,7 +465,7 @@ def classify(
         n = params.n
         seed = [
             universe.index_of(tuple(int(c * n) for c in p))
-            for p in four_distance_witness_points()
+            for p in pts
             if tuple(int(c * n) for c in p) not in johnson
         ]
     result = max_clique(universe, budget=budget, seed=seed)

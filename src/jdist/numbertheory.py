@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactnum import prime_powers
 from .families import CandidateFamily, Parameters
 
 
@@ -36,22 +37,8 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization; inputs here stay far below 10**6."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    pairs = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    """Prime factorization of ``1 <= n <= MAX_FACTOR_INPUT``."""
+    return Factorization(tuple(prime_powers(n)))
 
 
 def special_factor(n: int) -> int:

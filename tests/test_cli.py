@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jdist.cli import config_from_args, run
+from jdist.cli import TABLES_EXPECTED, config_from_args, main, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "docs" / "report_schema.json"
@@ -21,10 +21,16 @@ def invoke(*argv):
     return code, stream.getvalue()
 
 
-def test_n0_command():
+def test_n0_command(capsys):
     code, out = invoke("n0", "18")
     assert code == 0
     assert out == "6\n"
+
+    capsys.readouterr()
+    assert main(["n0", "1" * 31]) == 2  # refused, not factored by trial division
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_predicate_command():
@@ -137,7 +143,14 @@ def test_verify_command(tmp_path, capsys):
     assert code == 2
 
     capsys.readouterr()
-    for bad in ('{"12": 1}', '"12"', "[[true, false], [false, true]]", '[["1/0", "0"]]'):
+    huge_radicand = '[["1*sqrt(' + "1" * 31 + ')", "0"]]'  # refused, not factored
+    for bad in (
+        '{"12": 1}',
+        '"12"',
+        "[[true, false], [false, true]]",
+        '[["1/0", "0"]]',
+        huge_radicand,
+    ):
         path.write_text(bad, encoding="utf-8")
         code, out = invoke("verify", str(path), "--m", "2")
         err = capsys.readouterr().err
@@ -210,10 +223,26 @@ def test_entry_point_and_invalid_args():
     )
     assert proc.returncode == 2
 
+    for argv in (
+        ["classify", "9", "4", "--budget", "-1"],
+        ["classify", "9", "4", "--cap", "-1"],
+        ["verify", "points.json", "--m", "0"],
+        ["verify", "points.json", "--m", "-3"],
+        ["corollary", "1"],
+        ["corollary", "-2"],
+        ["n0", "18", "--budget", "many"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            config_from_args(argv)
+        assert exc.value.code == 2, argv
+    assert config_from_args(["classify", "9", "4", "--budget", "0"]).budget == 0
 
-def test_workers_env_is_accepted(monkeypatch):
-    monkeypatch.setenv("JDIST_WORKERS", "2")
-    first = invoke("tables", "--m", "5", "--format", "json")
-    monkeypatch.setenv("JDIST_WORKERS", "1")
-    second = invoke("tables", "--m", "5", "--format", "json")
-    assert first == second
+
+
+def test_tables_reference_row_not_reached(monkeypatch):
+    monkeypatch.setitem(TABLES_EXPECTED, 2, {9: (9, 45, "exact"), 10: (1, 46, "exact")})
+    code, out = invoke("tables", "--m", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "  10       -         - FAIL"
+    code, out = invoke("tables", "--m", "2", "--format", "csv")
+    assert out.splitlines()[-1] == "10,2,*,,,FAIL"

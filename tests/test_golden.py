@@ -1,0 +1,38 @@
+"""Byte-for-byte reports: every format of a set of CLI runs against files in golden/."""
+
+from pathlib import Path
+
+import pytest
+
+from jdist.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SUFFIX = {"text": "txt", "json": "json", "csv": "csv"}
+
+# (file stem, argv, exit code); each case runs in all three formats
+CASES = [
+    ("n0_18", ["n0", "18"], 0),
+    ("predicate_9_2", ["predicate", "9", "2"], 0),
+    ("families_9_2_addable", ["families", "9", "2", "--addable"], 0),
+    ("families_9_3", ["families", "9", "3"], 0),
+    ("classify_9_3", ["classify", "9", "3"], 0),
+    ("classify_9_4_budget_2000", ["classify", "9", "4", "--budget", "2000"], 3),
+    ("tables_m3", ["tables", "--m", "3"], 0),
+    ("tables_m5", ["tables", "--m", "5"], 0),
+    ("sub2_5", ["sub2", "5"], 0),
+    ("sub2_9", ["sub2", "9"], 0),
+    ("sub2_17", ["sub2", "17"], 0),
+    ("corollary_8", ["corollary", "8"], 0),
+    ("verify_points3", ["verify", "tests/golden/points3.json", "--m", "2", "--johnson"], 0),
+]
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+@pytest.mark.parametrize("stem, argv, code", CASES, ids=[case[0] for case in CASES])
+def test_report_bytes(stem, argv, code, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the verify report echoes its relative file path
+    assert main(argv + ["--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / f"{stem}.{SUFFIX[fmt]}").read_bytes()

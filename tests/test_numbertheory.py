@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jdist.exactnum import MAX_FACTOR_INPUT
 from jdist.families import Parameters, exists_addable, is_addable
 from jdist.numbertheory import (
     Factorization,
@@ -25,6 +26,9 @@ def test_factorize():
     assert factorize(97).pairs == ((97, 1),)
     for n in range(1, 500):
         assert factorize(n).value == n
+    assert factorize(MAX_FACTOR_INPUT).pairs == ((2, 12), (5, 12))
+    with pytest.raises(ValueError):
+        factorize(MAX_FACTOR_INPUT + 1)
 
 
 def test_special_factor_values():
