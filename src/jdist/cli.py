@@ -9,8 +9,9 @@ places where a printed reference total disagrees with recomputation
 Each handler returns one :class:`Report`; :func:`run` renders it as text,
 JSON or CSV.
 
-Exit codes: 0 success, 2 invalid arguments, 3 when a clique search hit
-its node budget without proving optimality (the report is still written).
+Exit codes: 0 success, 1 when ``tables`` or ``sub2`` has a FAIL reference
+row, 2 invalid arguments, 3 when a clique search hit its node budget
+without proving optimality.  The report is written in every case but 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from . import subjohnson
 from .exactnum import parse_quad
-from .families import Parameters, enumerate_families, is_addable, max_sq_dist
+from .families import Parameters, addable_families, enumerate_families, is_addable, max_sq_dist
 from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, classify, verify_point_set
 from .numbertheory import is_extendable, max_extendable_n, special_factor
 
@@ -109,12 +110,11 @@ def _cmd_predicate(config: argparse.Namespace) -> Report:
 
 def _cmd_families(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
-    entries = []
-    for fam in enumerate_families(params):
-        addable = is_addable(fam)
-        if config.addable_only and not addable:
-            continue
-        entries.append(dict(fam.to_json(), addable=addable, peak_sq_dist=str(max_sq_dist(fam))))
+    families = addable_families(params) if config.addable_only else enumerate_families(params)
+    entries = [
+        dict(fam.to_json(), addable=is_addable(fam), peak_sq_dist=str(max_sq_dist(fam)))
+        for fam in families
+    ]
     results = {"n": config.n, "m": config.m, "count": len(entries), "families": entries}
     lines = [f"families for n={config.n}, m={config.m}: {len(entries)}"]
     for e in entries:
@@ -208,7 +208,12 @@ def _cmd_tables(config: argparse.Namespace) -> Report:
         rows.append((e["n"], m, "*", e["added"], e["total"], e["status"]))  # csv writes None as ""
     table = _records(("n", "added", "total", "status"), entries)
     lines = [f"classification table for m={m}"] + _columns((4, 7, 9), table)
-    code = 3 if any(e["optimal"] is False for e in entries) else 0
+    if any(e["status"] == "FAIL" for e in entries):
+        code = 1
+    elif any(e["optimal"] is False for e in entries):
+        code = 3
+    else:
+        code = 0
     return Report({"m": m, "rows": entries}, rows, lines, code)
 
 
@@ -260,7 +265,8 @@ def _cmd_sub2(config: argparse.Namespace) -> Report:
     rows = [("n", "families", "added", "total", "maximal")]
     for combo in report.combinations:
         rows.append((n, " ".join(combo.labels), combo.added, combo.total, combo.maximal))
-    return Report(dict(report.to_json(), reference=comparisons), rows, lines)
+    code = 1 if any(item["status"] == "FAIL" for item in comparisons) else 0
+    return Report(dict(report.to_json(), reference=comparisons), rows, lines, code)
 
 
 def _cmd_corollary(config: argparse.Namespace) -> Report:

@@ -339,17 +339,32 @@ def _addable_candidates(params: Parameters) -> Iterator[CandidateFamily]:
     d with n | d^2.  With the tail multiplicities (levels 3..l) fixed, the
     offset is linear in the second multiplicity, leaving one residue class
     to scan.  Equivalent to filtering :func:`enumerate_families`.
+
+    Mean-distance bound.  Take x with sum(x) = m.  The indicator e_S of an
+    m-subset S averages to m/n in every coordinate, so the mean of
+    ``|x - e_S|^2`` over all S is ``|x|^2 - 2m^2/n + m = D - m^2/n + m``
+    with ``D = sum((x_i - m/n)^2)``.  The peak is at least this mean, so an
+    addable family has ``n*D <= n*m + m^2``.  Any c coordinates with sum s1
+    and square sum s2 have ``c*s2 - s1^2 = c*sum((y - s1/c)^2) <= c*D``,
+    also in level units (x = 2 - j - offset/n, so level j counts as j).
+    One coordinate on level 1 and one on level l give
+    ``n*(l-1)^2 <= 2*(n*m + m^2)``, which ends the depth loop; one on
+    level 1, the tail assigned so far and one on the deepest level prune
+    :func:`_tails`.
     """
     n, m = params.n, params.m
     square, free = squarefree_decompose(n)
     step = square * free  # smallest d with n | d*d
+    limit = n * m + m * m  # n*D of an addable family is at most this
 
     fam = CandidateFamily(params, n - m, (n,))
     if is_addable(fam):
         yield fam
 
     for depth in range(2, m + 1):
-        for tail in _tails(n, depth):
+        if n * (depth - 1) ** 2 > 2 * limit:
+            break
+        for tail in _tails(n, depth, limit):
             tail_size = sum(tail)
             tail_weight = sum((idx + 3) * v for idx, v in enumerate(tail))
             base = n - m + tail_size - tail_weight  # offset = base - k2
@@ -376,26 +391,39 @@ def exists_addable(params: Parameters) -> bool:
     return any(True for _ in _addable_candidates(params))
 
 
-def _tails(n: int, depth: int) -> Iterator[tuple[int, ...]]:
-    """Multiplicities for levels 3..depth with the deepest one positive."""
+def _tails(n: int, depth: int, limit: int) -> Iterator[tuple[int, ...]]:
+    """Multiplicities for levels 3..depth with the deepest one positive,
+    pruned by the mean-distance bound ``limit`` of :func:`_addable_candidates`."""
     if depth == 2:
         yield ()
         return
     parts = depth - 2
     tail = [0] * parts
 
-    def rec(idx: int, left: int) -> Iterator[tuple[int, ...]]:
+    def fits(c: int, s1: int, s2: int) -> bool:
+        # c coordinates with level sum s1 and level square sum s2
+        return n * (c * s2 - s1 * s1) <= c * limit
+
+    # (c, s1, s2) describe one level-1 coordinate plus tail[:idx]; adding
+    # coordinates never lowers a centred square sum, so each loop may break
+    def rec(idx: int, left: int, c: int, s1: int, s2: int) -> Iterator[tuple[int, ...]]:
+        level = idx + 3
         if idx == parts - 1:
             for v in range(1, left + 1):
+                if not fits(c + v, s1 + v * level, s2 + v * level * level):
+                    break
                 tail[idx] = v
                 yield tuple(tail)
             return
         for v in range(0, left + 1):
+            c2, t1, t2 = c + v, s1 + v * level, s2 + v * level * level
+            if not fits(c2 + 1, t1 + depth, t2 + depth * depth):
+                break
             tail[idx] = v
-            yield from rec(idx + 1, left - v)
+            yield from rec(idx + 1, left - v, c2, t1, t2)
 
     # leave room for the first multiplicity
-    yield from rec(0, n - 1)
+    yield from rec(0, n - 1, 1, 1, 1)
 
 
 def contracted_counts(counts: Sequence[int]) -> list[int]:

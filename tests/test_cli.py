@@ -4,11 +4,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from jdist.cli import TABLES_EXPECTED, config_from_args, main, run
+from jdist.cli import SUB2_EXPECTED, TABLES_EXPECTED, config_from_args, main, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "docs" / "report_schema.json"
@@ -238,11 +239,31 @@ def test_entry_point_and_invalid_args():
     assert config_from_args(["classify", "9", "4", "--budget", "0"]).budget == 0
 
 
-
 def test_tables_reference_row_not_reached(monkeypatch):
     monkeypatch.setitem(TABLES_EXPECTED, 2, {9: (9, 45, "exact"), 10: (1, 46, "exact")})
     code, out = invoke("tables", "--m", "2")
-    assert code == 0
+    assert code == 1  # a FAIL row is an error for the caller, not only in the report
     assert out.splitlines()[-1] == "  10       -         - FAIL"
     code, out = invoke("tables", "--m", "2", "--format", "csv")
     assert out.splitlines()[-1] == "10,2,*,,,FAIL"
+
+
+def test_sub2_reference_fail_exit_code(monkeypatch):
+    monkeypatch.setitem(SUB2_EXPECTED, 6, [(("S1+", "S4-"), 7, 16, False)])
+    code, out = invoke("sub2", "6")
+    assert code == 1
+    assert out.splitlines()[-1] == "    S1+ + S4-: [16]  FAIL"
+
+
+def test_large_sizes_without_addable_families_finish():
+    # both used to run past an 8 s timeout enumerating every candidate family
+    start = time.perf_counter()
+    code, out = invoke("classify", "200", "8", "--format", "json")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["results"]["addable_families"] == []
+
+    start = time.perf_counter()
+    code, out = invoke("families", "80", "8", "--addable")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, "families for n=80, m=8: 0\n")

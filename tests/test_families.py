@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jdist import families
 from jdist.families import (
     CandidateFamily,
     NotReducible,
@@ -146,13 +147,56 @@ def test_is_addable_examples():
 
 
 def test_addable_families_matches_enumeration():
+    # m = 6 for n = 12..16 lets both mean-distance cuts fire: the depth loop
+    # stops early and the tails are pruned
+    sizes = [(n, m) for n in range(4, 21) for m in range(2, min(5, n // 2) + 1)]
+    for n, m in sizes + [(n, 6) for n in range(12, 17)]:
+        params = Parameters(n, m)
+        full = [(f.offset, f.counts) for f in enumerate_families(params) if is_addable(f)]
+        fast = [(f.offset, f.counts) for f in addable_families(params)]
+        assert full == fast, (n, m)
+        assert exists_addable(params) == bool(full)
+
+
+def test_addable_families_obey_mean_distance_bound():
+    # the peak is at least the mean squared distance D - m^2/n + m, with
+    # D = sum((x_i - m/n)^2), so every addable family has n*D <= n*m + m^2
     for n in range(4, 21):
-        for m in range(2, min(5, n // 2) + 1):
-            params = Parameters(n, m)
-            full = [(f.offset, f.counts) for f in enumerate_families(params) if is_addable(f)]
-            fast = [(f.offset, f.counts) for f in addable_families(params)]
-            assert full == fast
-            assert exists_addable(params) == bool(full)
+        for m in range(1, min(6, n // 2) + 1):
+            for f in enumerate_families(Parameters(n, m)):
+                if not is_addable(f):
+                    continue
+                spread = sum(k * (v - F(m, n)) ** 2 for v, k in zip(f.levels, f.counts))
+                mean = spread - F(m * m, n) + m
+                assert mean <= max_sq_dist(f) <= 2 * m
+                assert n * spread <= n * m + m * m, (n, m, f.counts)
+
+
+def test_addable_search_prunes_by_the_mean_distance_bound(monkeypatch):
+    # the search checks every family whose offset is a multiple of the least
+    # d with n | d^2, unless one level-1 coordinate together with the
+    # coordinates on levels 3..l already breaks n*D <= n*m + m^2
+    checked = []
+
+    def record(f):
+        checked.append((f.offset, f.counts))
+        return is_addable(f)
+
+    monkeypatch.setattr(families, "is_addable", record)
+    for n in range(4, 21):
+        step = next(d for d in range(1, n + 1) if d * d % n == 0)
+        for m in range(1, min(6, n // 2) + 1):
+            limit = n * m + m * m
+            expected = []
+            for f in enumerate_families(Parameters(n, m)):
+                levels = [1] + [j for j, k in enumerate(f.counts, 1) if j > 2 for _ in range(k)]
+                c, s1, s2 = len(levels), sum(levels), sum(j * j for j in levels)
+                bounded = n * (c * s2 - s1 * s1) <= c * limit
+                if len(f.counts) == 1 or (f.offset % step == 0 and bounded):
+                    expected.append((f.offset, f.counts))
+            checked.clear()
+            addable_families(Parameters(n, m))
+            assert sorted(checked) == sorted(expected), (n, m)
 
 
 def test_reduce_step_examples():

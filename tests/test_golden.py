@@ -16,6 +16,7 @@ CASES = [
     ("predicate_9_2", ["predicate", "9", "2"], 0),
     ("families_9_2_addable", ["families", "9", "2", "--addable"], 0),
     ("families_9_3", ["families", "9", "3"], 0),
+    ("families_49_5_addable", ["families", "49", "5", "--addable"], 0),
     ("classify_9_3", ["classify", "9", "3"], 0),
     ("classify_9_4_budget_2000", ["classify", "9", "4", "--budget", "2000"], 3),
     ("tables_m3", ["tables", "--m", "3"], 0),
