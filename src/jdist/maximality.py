@@ -7,8 +7,13 @@ squared distance lies in {2, 4, ..., 2m}, and maximal extensions of the
 representation correspond exactly to maximal cliques.
 
 Universes stay small here (the largest searched instance has 306
-vertices), so an exact branch-and-bound with greedy-coloring bounds
-suffices; a node budget with an explicit optimality flag keeps the one
+vertices), so an exact branch-and-bound suffices.  The structure sits in
+the sparse conflict graph (the complement): universal vertices join every
+clique and are only counted, and the rest, the conflict core, is colored
+once so that each color class is a conflict clique.  The bound is the
+number of classes still meeting the candidates, kept up to date per
+branched vertex in time linear in its conflict degree.  A node budget
+with an explicit optimality flag and an exact upper bound keeps the one
 genuinely open instance honest.
 """
 
@@ -71,9 +76,13 @@ class CandidateUniverse:
 
 @dataclass(frozen=True)
 class MaxCliqueResult:
+    """A clique, whether it is proven maximum, the search work spent, and
+    an exact upper bound on the clique number (``size`` when optimal)."""
+
     vertices: tuple[int, ...]
     optimal: bool
     expansions: int
+    upper_bound: int
 
     @property
     def size(self) -> int:
@@ -226,54 +235,114 @@ def max_clique(
     budget: int = DEFAULT_BUDGET,
     seed: Iterable[int] | None = None,
 ) -> MaxCliqueResult:
-    """Branch-and-bound maximum clique with greedy-coloring pruning.
+    """Branch-and-bound maximum clique on the conflict core.
+
+    Universal vertices (adjacent to all others) join every maximal clique,
+    so they are counted and left out of the search.  The remaining core is
+    colored once, greedily, and relabelled in color order; each color class
+    is a clique of the conflict graph (the complement of ``adjacency``), so
+    a clique takes at most one vertex per class and the number of classes
+    that still meet the candidate set bounds any extension.  Branching on
+    ``v`` removes ``v`` and its conflict neighbors from the candidates, and
+    the per-class counts are updated for exactly those vertices and
+    restored on backtrack: one expansion costs O(conflict degree of v).
 
     ``budget`` caps vertex expansions; when exhausted the best clique so
-    far is returned with ``optimal=False`` (a certified lower bound).
-    A ``seed`` clique, when given, primes the incumbent.
+    far is returned with ``optimal=False`` (a certified lower bound) next to
+    ``upper_bound``, the universal count plus the number of root classes.
+    A ``seed`` clique, when given, primes the incumbent; the universal
+    vertices it leaves out are added.
     """
     adjacency = universe.adjacency
     size = universe.size
-    if size == 0:
-        return MaxCliqueResult((), True, 0)
+    full = (1 << size) - 1
+    universal = [v for v in range(size) if adjacency[v] | (1 << v) == full]
+    core_mask = full
+    for v in universal:
+        core_mask ^= 1 << v
 
-    best = _greedy_clique(adjacency, size)
+    order, colors = _color_order(core_mask, adjacency)
+    label = {v: i for i, v in enumerate(order)}
+    color_of = [c - 1 for c in colors]
+    conflicts: list[int] = []  # conflict neighbors of each core label
+    for v in order:
+        rest = core_mask & ~adjacency[v] & ~(1 << v)
+        mask = 0
+        while rest:
+            low = rest & -rest
+            mask |= 1 << label[low.bit_length() - 1]
+            rest ^= low
+        conflicts.append(mask)
+
+    def core_part(clique: Sequence[int]) -> list[int]:
+        return [label[v] for v in clique if v in label]
+
+    best = core_part(_greedy_clique(adjacency, size))
     if seed is not None:
         seed = sorted(seed)
         for i, v in enumerate(seed):
             for u in seed[i + 1 :]:
                 assert adjacency[v] >> u & 1, "seed is not a clique"
-        if len(seed) > len(best):
-            best = list(seed)
+        if len(core_part(seed)) > len(best):
+            best = core_part(seed)
 
+    classes = colors[-1] if colors else 0
+    counts = [0] * classes  # core candidates left in each color class
+    for c in color_of:
+        counts[c] += 1
+    live = classes  # color classes with a candidate left
     current: list[int] = []
     expansions = 0
 
+    def drop(mask: int) -> None:
+        nonlocal live
+        while mask:
+            low = mask & -mask
+            c = color_of[low.bit_length() - 1]
+            counts[c] -= 1
+            if not counts[c]:
+                live -= 1
+            mask ^= low
+
+    def restore(mask: int) -> None:
+        nonlocal live
+        while mask:
+            low = mask & -mask
+            c = color_of[low.bit_length() - 1]
+            if not counts[c]:
+                live += 1
+            counts[c] += 1
+            mask ^= low
+
     def expand(candidates: int) -> None:
         nonlocal best, expansions
-        order, bounds = _color_order(candidates, adjacency)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[idx] <= len(best):
-                return
+        entry = candidates
+        while candidates and len(current) + live > len(best):
             expansions += 1
             if expansions > budget:
                 raise _BudgetExhausted
-            v = order[idx]
+            v = candidates.bit_length() - 1
+            candidates ^= 1 << v
+            drop(1 << v)
+            gone = candidates & conflicts[v]
+            drop(gone)
             current.append(v)
-            rest = candidates & adjacency[v]
-            if rest:
-                expand(rest)
+            if candidates ^ gone:
+                expand(candidates ^ gone)
             elif len(current) > len(best):
                 best = list(current)
             current.pop()
-            candidates &= ~(1 << v)
+            restore(gone)
+        restore(entry ^ candidates)
 
     optimal = True
     try:
-        expand((1 << size) - 1)
+        expand((1 << len(order)) - 1)
     except _BudgetExhausted:
         optimal = False
-    return MaxCliqueResult(tuple(sorted(best)), optimal, expansions)
+    vertices = tuple(sorted(universal + [order[i] for i in best]))
+    upper_bound = len(vertices) if optimal else len(universal) + classes
+    return MaxCliqueResult(vertices, optimal, expansions, upper_bound)
 
 
 def maximal_clique_structure(

@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from jdist.families import CandidateFamily, Parameters, johnson_points
+from jdist.families import CandidateFamily, Parameters, johnson_points, scaled_johnson_points
 from jdist.maximality import (
+    CandidateUniverse,
     UniverseTooLarge,
     build_universe,
     classify,
@@ -111,9 +113,51 @@ def test_max_clique_invariant_under_relabelling():
     assert max_clique(shuffled).size == 37
 
 
-def test_max_clique_budget_flag():
-    from jdist.maximality import CandidateUniverse
+def graph_universe(masks):
+    """A universe whose compatibility graph is given by adjacency masks."""
+    size = len(masks)
+    return CandidateUniverse(
+        Parameters(4, 2),
+        (),
+        tuple((F(i),) for i in range(size)),
+        tuple((i,) for i in range(size)),
+        tuple(masks),
+    )
 
+
+def random_masks(rng, size, density, universal=()):
+    masks = [0] * size
+    for a in range(size):
+        for b in range(a + 1, size):
+            if a in universal or b in universal or rng.random() < density:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return masks
+
+
+def brute_clique_number(masks):
+    """Largest clique by checking every vertex subset, built from the subset
+    without its lowest vertex."""
+    is_clique = [True] * (1 << len(masks))
+    best = 0
+    for subset in range(1, 1 << len(masks)):
+        low = subset & -subset
+        rest = subset ^ low
+        v = low.bit_length() - 1
+        is_clique[subset] = is_clique[rest] and masks[v] & rest == rest
+        if is_clique[subset]:
+            best = max(best, subset.bit_count())
+    return best
+
+
+def assert_clique(masks, vertices):
+    assert list(vertices) == sorted(set(vertices))
+    for i, v in enumerate(vertices):
+        for u in vertices[i + 1 :]:
+            assert masks[v] >> u & 1
+
+
+def test_max_clique_budget_flag():
     # pentagon: clique number 2 but the coloring bound is 3, so the search
     # has to expand at least one node and a zero budget must truncate it
     edges = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
@@ -121,18 +165,84 @@ def test_max_clique_budget_flag():
     for a, b in edges:
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    pentagon = CandidateUniverse(
-        Parameters(4, 2),
-        (),
-        tuple((F(i),) for i in range(5)),
-        tuple((i,) for i in range(5)),
-        tuple(masks),
-    )
+    pentagon = graph_universe(masks)
     full = max_clique(pentagon)
-    assert full.size == 2 and full.optimal
+    assert full.size == 2 and full.optimal and full.upper_bound == 2
     truncated = max_clique(pentagon, budget=0)
     assert not truncated.optimal
     assert truncated.size == 2  # the greedy incumbent survives
+    assert truncated.expansions == 1
+    assert truncated.upper_bound == 3  # three root color classes
+
+
+def test_max_clique_matches_brute_force_on_random_graphs():
+    rng = random.Random(5)
+    searched = 0
+    for trial in range(60):
+        size = rng.randint(1, 14)
+        density = (0.2, 0.5, 0.7, 0.85, 0.95)[trial % 5]
+        universal = set(rng.sample(range(size), rng.randint(0, size // 3))) if trial % 2 else set()
+        masks = random_masks(rng, size, density, universal)
+        omega = brute_clique_number(masks)
+        universe = graph_universe(masks)
+
+        result = max_clique(universe)
+        assert result.optimal and result.size == omega == result.upper_bound
+        assert_clique(masks, result.vertices)
+        assert set(universal) <= set(result.vertices)
+        assert max_clique(universe) == result  # deterministic
+
+        if result.expansions:
+            searched += 1
+            budget = rng.randrange(result.expansions)
+            truncated = max_clique(universe, budget=budget)
+            assert truncated.expansions == budget + 1 and not truncated.optimal
+            assert_clique(masks, truncated.vertices)
+            assert truncated.size <= omega <= truncated.upper_bound
+
+        # a maximum clique without its universal vertices still primes the
+        # incumbent, and the search adds the universal vertices back
+        seed = [v for v in result.vertices if v not in universal]
+        primed = max_clique(universe, budget=0, seed=seed)
+        assert primed.size == omega
+        assert set(universal) <= set(primed.vertices)
+    assert searched >= 20
+
+
+def test_max_clique_complete_and_edgeless_graphs():
+    for size in (1, 2, 7, 14):
+        complete = max_clique(graph_universe([((1 << size) - 1) ^ (1 << v) for v in range(size)]))
+        assert complete.vertices == tuple(range(size))
+        assert complete.optimal and complete.expansions == 0 and complete.upper_bound == size
+
+        edgeless = max_clique(graph_universe([0] * size))
+        assert edgeless.size == 1 and edgeless.optimal and edgeless.upper_bound == 1
+
+    empty = max_clique(graph_universe([]))
+    assert empty.vertices == () and empty.optimal
+    assert empty.expansions == 0 and empty.upper_bound == 0
+
+
+def test_max_clique_rejects_a_seed_that_is_not_a_clique():
+    with pytest.raises(AssertionError):
+        max_clique(graph_universe([0, 0, 0]), seed=[0, 1])
+
+
+def test_max_clique_9_4_witness_seed_speed():
+    # regression guard on the open case: 100,000 expansions from the
+    # 258-point witness took about 10 s with a recoloring at every node
+    params = Parameters(9, 4)
+    u = build_universe(params)
+    johnson = set(scaled_johnson_points(params))
+    scaled = (tuple(int(c * 9) for c in p) for p in four_distance_witness_points())
+    seed = [u.index_of(p) for p in scaled if p not in johnson]
+    start = time.perf_counter()
+    result = max_clique(u, budget=100_000, seed=seed)
+    assert time.perf_counter() - start < 3.0
+    assert result.expansions == 100_001 and not result.optimal
+    assert result.size == 132
+    assert result.upper_bound == 45 + 163  # universal vertices + root color classes
+    assert_clique(u.adjacency, result.vertices)
 
 
 def test_classify_9_2():
