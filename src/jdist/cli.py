@@ -396,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="clique search node budget"
     )
     common.add_argument(
-        "--cap", type=_int_at_least(0), default=DEFAULT_CAP, help="point materialization cap"
+        "--cap",
+        type=_int_at_least(0),
+        default=DEFAULT_CAP,
+        help="cap on the candidate points and on the conflict edges materialized",
     )
 
     parser = argparse.ArgumentParser(

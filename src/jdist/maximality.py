@@ -6,21 +6,27 @@ are mutually compatible.  Vertices are candidate points, edges mean the
 squared distance lies in {2, 4, ..., 2m}, and maximal extensions of the
 representation correspond exactly to maximal cliques.
 
-Universes stay small here (the largest searched instance has 306
-vertices), so an exact branch-and-bound suffices.  The structure sits in
-the sparse conflict graph (the complement): universal vertices join every
-clique and are only counted, and the rest, the conflict core, is colored
-once so that each color class is a conflict clique.  The bound is the
-number of classes still meeting the candidates, kept up to date per
-branched vertex in time linear in its conflict degree.  A node budget
-with an explicit optimality flag and an exact upper bound keeps the one
-genuinely open instance honest.
+The structure sits in the sparse conflict graph (the complement), and
+only that graph is built.  Each family is an S_n orbit and S_n preserves
+distances, so the conflicts of one representative per orbit, mapped
+through the coordinate permutations onto the other orbit members, give
+all of them: no pair of vertices is tested twice and conflict-free
+families cost nothing beyond their points.  Both the points and the
+conflict edges are capped.  The search is an exact branch-and-bound:
+universal vertices join every clique and are only counted, and the rest,
+the conflict core, is colored once so that each color class is a
+conflict clique.  The bound is the number of classes still meeting the
+candidates, kept up to date per branched vertex in time linear in its
+conflict degree.  A node budget with an explicit optimality flag and an
+exact upper bound keeps the open instances honest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exactnum import IntPointSet
@@ -37,41 +43,49 @@ DEFAULT_CAP = 10**5
 
 
 class UniverseTooLarge(ValueError):
-    """Materializing the candidate points would exceed the cap."""
-
-
-class _BudgetExhausted(Exception):
-    pass
+    """Materializing the candidate points or conflict edges would exceed the cap."""
 
 
 @dataclass
 class CandidateUniverse:
-    """Materialized candidate points with pairwise compatibility.
+    """Candidate points with their sparse conflict graph.
 
     Vertices are sorted lexicographically by their scaled coordinates, so
     the structure (and everything searched on it) is independent of input
-    order.  ``adjacency[i]`` is a bitmask over vertex indices.
+    order.  ``conflicts[i]`` is the bitmask of vertices whose squared
+    distance to vertex i lies outside the allowed set; it is 0 for a
+    universal vertex.  ``adjacency`` and ``points`` are derived on access.
     """
 
     params: Parameters
     families: tuple[CandidateFamily, ...]
-    points: tuple[tuple[Fraction, ...], ...]
     scaled: tuple[tuple[int, ...], ...]
-    adjacency: tuple[int, ...]
+    conflicts: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.scaled)
+
+    @cached_property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        n = self.params.n
+        return tuple(tuple(Fraction(c, n) for c in p) for p in self.scaled)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Compatibility bitmasks: the complement of ``conflicts`` without loops."""
+        full = (1 << self.size) - 1
+        return tuple(full ^ mask ^ (1 << i) for i, mask in enumerate(self.conflicts))
 
     def is_complete(self) -> bool:
-        full = (1 << self.size) - 1
-        return all(mask | (1 << i) == full for i, mask in enumerate(self.adjacency))
+        return not any(self.conflicts)
 
     def index_of(self, scaled_point: tuple[int, ...]) -> int:
         return self._index[scaled_point]
 
-    def __post_init__(self) -> None:
-        self._index = {p: i for i, p in enumerate(self.scaled)}
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {p: i for i, p in enumerate(self.scaled)}
 
 
 @dataclass(frozen=True)
@@ -165,8 +179,30 @@ class ClassificationReport:
         return out
 
 
+def _conflicting_pairs(
+    families: Sequence[CandidateFamily], allowed: frozenset[int]
+) -> list[tuple[int, int]]:
+    """Index pairs ``a <= b`` of families with a squared distance outside ``allowed``."""
+    return [
+        (a, b)
+        for a, fam in enumerate(families)
+        for b in range(a, len(families))
+        if (a != b or fam.size > 1) and not cross_family_spectrum(fam, families[b]).within(allowed)
+    ]
+
+
 def build_universe(params: Parameters, cap: int = DEFAULT_CAP) -> CandidateUniverse:
-    """Materialize all addable candidate points and their compatibility."""
+    """Materialize all addable candidate points and their conflict graph.
+
+    The conflicts are generated per orbit.  One representative ``p0`` of
+    each family with a conflicting partner family is tested against the
+    points of its partner families only.  For any other point ``p`` of the
+    orbit, the coordinate permutation sigma sending ``p0`` to ``p`` (both
+    points' positions sorted by value) maps the neighbours of ``p0`` onto
+    those of ``p``, since it preserves squared distances and every orbit.
+    The edge count, the sum of orbit size times representative degree
+    halved, is checked against ``cap`` before any edge is materialized.
+    """
     families = tuple(addable_families(params))
     total = sum(f.size for f in families)
     if total > cap:
@@ -178,41 +214,61 @@ def build_universe(params: Parameters, cap: int = DEFAULT_CAP) -> CandidateUnive
         # downstream relies on Johnson-compatibility of each vertex
         assert johnson_family_spectrum(fam).within(allowed)
 
-    scaled: list[tuple[int, ...]] = []
-    for fam in families:
-        scaled.extend(fam.scaled_points())
-    scaled.sort()
+    partners: list[list[int]] = [[] for _ in families]
+    for a, b in _conflicting_pairs(families, allowed):
+        partners[a].append(b)
+        if a != b:
+            partners[b].append(a)
+    orbits = [tuple(fam.scaled_points()) for fam in families]
+
     n = params.n
-    points = tuple(tuple(Fraction(c, n) for c in p) for p in scaled)
+    harmless = {0} | {v * n * n for v in allowed}  # the point itself, or compatible
+    near: dict[int, list[tuple[int, ...]]] = {}  # family -> conflicts of its first point
+    twice_edges = 0
+    for a, others in enumerate(partners):
+        if others:
+            p0 = orbits[a][0]
+            near[a] = [
+                q
+                for b in others
+                for q in orbits[b]
+                if sum((x - y) * (x - y) for x, y in zip(p0, q)) not in harmless
+            ]
+            twice_edges += len(orbits[a]) * len(near[a])
+    if twice_edges // 2 > cap:
+        raise UniverseTooLarge(f"{twice_edges // 2} conflict edges exceed the cap {cap}")
 
-    allowed_scaled = {v * n * n for v in allowed}
-    size = len(scaled)
-    masks = [0] * size
-    for i in range(size):
-        pi = scaled[i]
-        for j in range(i + 1, size):
-            d = 0
-            for a, b in zip(pi, scaled[j]):
-                d += (a - b) * (a - b)
-            if d in allowed_scaled:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return CandidateUniverse(params, families, points, tuple(scaled), tuple(masks))
+    scaled = sorted(p for orbit in orbits for p in orbit)
+    index = {p: i for i, p in enumerate(scaled)}
+    conflicts = [0] * len(scaled)
+    for a, neighbours in near.items():
+        p0 = orbits[a][0]
+        by_value = sorted(range(n), key=p0.__getitem__)
+        for p in orbits[a]:
+            source = [0] * n  # sigma(q)[j] == q[source[j]]
+            for i, j in zip(by_value, sorted(range(n), key=p.__getitem__)):
+                source[j] = i
+            image = itemgetter(*source)
+            mask = 0
+            for q in neighbours:
+                mask |= 1 << index[image(q)]
+            conflicts[index[p]] = mask
+    return CandidateUniverse(params, families, tuple(scaled), tuple(conflicts))
 
 
-def _greedy_clique(adjacency: Sequence[int], size: int) -> list[int]:
+def _greedy_clique(candidates: int, conflicts: Sequence[int]) -> list[int]:
     clique: list[int] = []
-    candidates = (1 << size) - 1
     while candidates:
         v = (candidates & -candidates).bit_length() - 1
         clique.append(v)
-        candidates &= adjacency[v]
+        candidates &= ~(conflicts[v] | 1 << v)
     return clique
 
 
-def _color_order(candidates: int, adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring: vertices ordered by color class, with the class
-    number as an upper bound on any clique inside the remaining set."""
+def _color_order(candidates: int, conflicts: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Greedy coloring into conflict cliques: vertices ordered by color
+    class, with the class number as an upper bound on any clique inside the
+    remaining set."""
     order: list[int] = []
     bounds: list[int] = []
     color = 0
@@ -226,7 +282,7 @@ def _color_order(candidates: int, adjacency: Sequence[int]) -> tuple[list[int], 
             order.append(v)
             bounds.append(color)
             rest ^= bit
-            available = (available ^ bit) & ~adjacency[v]
+            available = (available ^ bit) & conflicts[v]
     return order, bounds
 
 
@@ -237,15 +293,17 @@ def max_clique(
 ) -> MaxCliqueResult:
     """Branch-and-bound maximum clique on the conflict core.
 
-    Universal vertices (adjacent to all others) join every maximal clique,
-    so they are counted and left out of the search.  The remaining core is
-    colored once, greedily, and relabelled in color order; each color class
-    is a clique of the conflict graph (the complement of ``adjacency``), so
-    a clique takes at most one vertex per class and the number of classes
-    that still meet the candidate set bounds any extension.  Branching on
-    ``v`` removes ``v`` and its conflict neighbors from the candidates, and
-    the per-class counts are updated for exactly those vertices and
-    restored on backtrack: one expansion costs O(conflict degree of v).
+    Universal vertices (no conflicts) join every maximal clique, so they
+    are counted and left out of the search.  The remaining core is colored
+    once, greedily, and relabelled in color order; each color class is a
+    clique of the conflict graph, so a clique takes at most one vertex per
+    class and the number of classes that still meet the candidate set
+    bounds any extension.  Branching on ``v`` removes ``v`` and its
+    conflict neighbors from the candidates, and the per-class counts are
+    updated for exactly those vertices and restored on backtrack: one
+    expansion costs O(conflict degree of v).  The depth-first search keeps
+    its levels on an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
 
     ``budget`` caps vertex expansions; when exhausted the best clique so
     far is returned with ``optimal=False`` (a certified lower bound) next to
@@ -253,20 +311,20 @@ def max_clique(
     A ``seed`` clique, when given, primes the incumbent; the universal
     vertices it leaves out are added.
     """
-    adjacency = universe.adjacency
-    size = universe.size
-    full = (1 << size) - 1
-    universal = [v for v in range(size) if adjacency[v] | (1 << v) == full]
-    core_mask = full
-    for v in universal:
-        core_mask ^= 1 << v
+    universal: list[int] = []
+    core_mask = 0
+    for v, mask in enumerate(universe.conflicts):
+        if mask:
+            core_mask |= 1 << v
+        else:
+            universal.append(v)
 
-    order, colors = _color_order(core_mask, adjacency)
+    order, colors = _color_order(core_mask, universe.conflicts)
     label = {v: i for i, v in enumerate(order)}
     color_of = [c - 1 for c in colors]
     conflicts: list[int] = []  # conflict neighbors of each core label
     for v in order:
-        rest = core_mask & ~adjacency[v] & ~(1 << v)
+        rest = universe.conflicts[v]
         mask = 0
         while rest:
             low = rest & -rest
@@ -277,12 +335,12 @@ def max_clique(
     def core_part(clique: Sequence[int]) -> list[int]:
         return [label[v] for v in clique if v in label]
 
-    best = core_part(_greedy_clique(adjacency, size))
+    best = core_part(_greedy_clique(core_mask, universe.conflicts))
     if seed is not None:
         seed = sorted(seed)
         for i, v in enumerate(seed):
             for u in seed[i + 1 :]:
-                assert adjacency[v] >> u & 1, "seed is not a clique"
+                assert u != v and not universe.conflicts[v] >> u & 1, "seed is not a clique"
         if len(core_part(seed)) > len(best):
             best = core_part(seed)
 
@@ -290,108 +348,83 @@ def max_clique(
     counts = [0] * classes  # core candidates left in each color class
     for c in color_of:
         counts[c] += 1
-    live = classes  # color classes with a candidate left
-    current: list[int] = []
-    expansions = 0
 
-    def drop(mask: int) -> None:
-        nonlocal live
+    def drop(mask: int) -> int:
+        """Take the vertices of ``mask`` out of their classes; returns the
+        number of classes this empties."""
+        emptied = 0
         while mask:
             low = mask & -mask
             c = color_of[low.bit_length() - 1]
             counts[c] -= 1
             if not counts[c]:
-                live -= 1
+                emptied += 1
             mask ^= low
+        return emptied
 
-    def restore(mask: int) -> None:
-        nonlocal live
+    def restore(mask: int) -> int:
+        """Undo ``drop(mask)``; returns the number of classes refilled."""
+        refilled = 0
         while mask:
             low = mask & -mask
             c = color_of[low.bit_length() - 1]
             if not counts[c]:
-                live += 1
+                refilled += 1
             counts[c] += 1
             mask ^= low
+        return refilled
 
-    def expand(candidates: int) -> None:
-        nonlocal best, expansions
-        entry = candidates
-        while candidates and len(current) + live > len(best):
+    live = classes  # color classes with a candidate left
+    current: list[int] = []
+    stack: list[tuple[int, int, int]] = []  # suspended levels: entry, candidates, gone
+    entry = candidates = (1 << len(order)) - 1
+    expansions = 0
+    optimal = True
+    while True:
+        if candidates and len(current) + live > len(best):
             expansions += 1
             if expansions > budget:
-                raise _BudgetExhausted
+                optimal = False
+                break
             v = candidates.bit_length() - 1
             candidates ^= 1 << v
-            drop(1 << v)
             gone = candidates & conflicts[v]
-            drop(gone)
+            live -= drop(1 << v | gone)
             current.append(v)
             if candidates ^ gone:
-                expand(candidates ^ gone)
-            elif len(current) > len(best):
+                stack.append((entry, candidates, gone))
+                entry = candidates = candidates ^ gone
+                continue
+            if len(current) > len(best):
                 best = list(current)
-            current.pop()
-            restore(gone)
-        restore(entry ^ candidates)
+        else:  # this level is done: give its branched vertices back
+            live += restore(entry ^ candidates)
+            if not stack:
+                break
+            entry, candidates, gone = stack.pop()
+        current.pop()
+        live += restore(gone)
 
-    optimal = True
-    try:
-        expand((1 << len(order)) - 1)
-    except _BudgetExhausted:
-        optimal = False
     vertices = tuple(sorted(universal + [order[i] for i in best]))
     upper_bound = len(vertices) if optimal else len(universal) + classes
     return MaxCliqueResult(vertices, optimal, expansions, upper_bound)
 
 
-def maximal_clique_structure(
-    universe: CandidateUniverse, enumeration_cap: int = 10**6
-) -> CliqueStructure | None:
-    """Size range over *all* maximal cliques, when tractable.
+def maximal_clique_structure(universe: CandidateUniverse) -> CliqueStructure | None:
+    """Size range over *all* maximal cliques, when the conflicts form a matching.
 
-    When the incompatibility relation is a partial matching (complement
-    degree <= 1), every maximal clique consists of all unpaired vertices
-    plus exactly one endpoint per incompatible pair: a clique cannot hold
-    both endpoints, and skipping a vertex is only maximal when its partner
-    is chosen.  That covers all 2**pairs maximal cliques without listing
-    them.  Otherwise fall back to explicit enumeration up to the cap;
-    returns None when that is abandoned.
+    When every vertex has at most one conflict, every maximal clique
+    consists of all unpaired vertices plus exactly one endpoint per
+    conflicting pair: a clique cannot hold both endpoints, and skipping a
+    vertex is only maximal when its partner is chosen.  That covers all
+    2**pairs maximal cliques without listing them.  Returns None for any
+    other conflict graph.
     """
-    size = universe.size
-    full = (1 << size) - 1
-    complement = [full & ~mask & ~(1 << i) for i, mask in enumerate(universe.adjacency)]
-    if all(mask.bit_count() <= 1 for mask in complement):
-        pairs = sum(1 for mask in complement if mask) // 2
-        clique_size = size - pairs
-        return CliqueStructure(clique_size, clique_size, 2**pairs, True, "complement-matching")
-
-    sizes: list[int] = []
-    count = 0
-
-    def bron_kerbosch(r_size: int, p: int, x: int) -> bool:
-        nonlocal count
-        if not p and not x:
-            sizes.append(r_size)
-            count += 1
-            return count < enumeration_cap
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        candidates = p & ~universe.adjacency[pivot]
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            bit = 1 << v
-            candidates ^= bit
-            if not bron_kerbosch(r_size + 1, p & universe.adjacency[v], x & universe.adjacency[v]):
-                return False
-            p ^= bit
-            x |= bit
-        return True
-
-    finished = bron_kerbosch(0, full, 0)
-    if not finished:
+    if any(mask & (mask - 1) for mask in universe.conflicts):
         return None
-    return CliqueStructure(min(sizes), max(sizes), count, True, "bron-kerbosch")
+    pairs = sum(1 for mask in universe.conflicts if mask) // 2
+    clique_size = universe.size - pairs
+    return CliqueStructure(clique_size, clique_size, 2**pairs, True, "complement-matching")
 
 
 def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):
@@ -457,9 +490,9 @@ def classify(
 
     Family-level spectra decide complete compatibility without touching
     points; only genuinely conflicting universes are materialized and
-    searched.  Oversized conflicting universes degrade to spectrum-level
-    reporting (the cardinality then only counts what is proven addable in
-    full, flagged as non-optimal).
+    searched.  A conflicting universe whose points or conflict edges exceed
+    ``cap`` degrades to spectrum-level reporting (the cardinality then only
+    counts what is proven addable in full, flagged as non-optimal).
     """
     allowed = params.allowed_sq_dists()
     families = tuple(addable_families(params))
@@ -478,17 +511,16 @@ def classify(
             notes=("no addable candidate vectors; the representation is maximal",),
         )
 
-    conflicts: list[str] = []
-    for i, fam in enumerate(families):
+    for fam in families:
         if not johnson_family_spectrum(fam).within(allowed):
             raise AssertionError(f"addable family {fam} fails the Johnson spectrum check")
-        if fam.size > 1 and not cross_family_spectrum(fam, fam).within(allowed):
-            conflicts.append(f"intra k0={fam.offset} k={fam.counts}")
-        for other in families[i + 1 :]:
-            if not cross_family_spectrum(fam, other).within(allowed):
-                conflicts.append(
-                    f"cross k0={fam.offset} k={fam.counts} / k0={other.offset} k={other.counts}"
-                )
+    conflicts = [
+        f"intra k0={families[a].offset} k={families[a].counts}"
+        if a == b
+        else f"cross k0={families[a].offset} k={families[a].counts}"
+        f" / k0={families[b].offset} k={families[b].counts}"
+        for a, b in _conflicting_pairs(families, allowed)
+    ]
 
     if not conflicts:
         notes.append("all intra- and cross-family spectra stay inside the allowed set")
@@ -507,7 +539,9 @@ def classify(
         )
         notes.append("best known extension embedded as an explicit witness; maximality is open")
 
-    if total > cap:
+    try:
+        universe = build_universe(params, cap)
+    except UniverseTooLarge:
         addable_alone = [f for f in families if f.size == 1 or cross_family_spectrum(f, f).within(allowed)]
         # one vertex is always addable, so the bound never collapses to zero
         lower = max((f.size for f in addable_alone), default=1)
@@ -527,19 +561,15 @@ def classify(
             notes=tuple(notes),
         )
 
-    universe = build_universe(params, cap)
     seed = None
     if witness is not None and witness.verified:
         johnson = set(scaled_johnson_points(params))
         n = params.n
-        seed = [
-            universe.index_of(tuple(int(c * n) for c in p))
-            for p in pts
-            if tuple(int(c * n) for c in p) not in johnson
-        ]
+        scaled = (tuple(int(c * n) for c in p) for p in pts)
+        seed = [universe.index_of(p) for p in scaled if p not in johnson]
     result = max_clique(universe, budget=budget, seed=seed)
-    structure = maximal_clique_structure(universe) if universe.size <= 120 else None
-    if structure is not None and structure.method == "complement-matching":
+    structure = maximal_clique_structure(universe)
+    if structure is not None:
         notes.append(
             "incompatibilities form a perfect partial matching: every maximal clique picks "
             "one vertex per incompatible pair plus all universal vertices"

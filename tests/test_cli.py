@@ -69,6 +69,26 @@ def test_classify_budget_exit_code():
     assert "witness: 258 points, verified=true" in out
 
 
+def test_classify_deep_conflict_core_under_budget(capsys):
+    # the n = 25, m = 6 core is searched deeper than the interpreter's
+    # recursion limit; a budget stop still gives exit 3 and one report
+    start = time.perf_counter()
+    code = main(["classify", "25", "6", "--budget", "2000"])
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert captured.out.count("classification for n=25, m=6") == 1
+    assert "  added: 6397\n" in captured.out
+    assert "  optimal: false\n" in captured.out
+
+
+def test_classify_32_7_proves_the_matching_bound():
+    code, out = invoke("classify", "32", "7", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "32,7,15408,3381264,True"
+
+
 def test_tables_m5():
     code, out = invoke("tables", "--m", "5")
     assert code == 0

@@ -2,12 +2,20 @@
 
 import dataclasses
 import random
+import sys
 import time
+from array import array
 from fractions import Fraction as F
 
 import pytest
 
-from jdist.families import CandidateFamily, Parameters, johnson_points, scaled_johnson_points
+from jdist.families import (
+    CandidateFamily,
+    Parameters,
+    addable_families,
+    johnson_points,
+    scaled_johnson_points,
+)
 from jdist.maximality import (
     CandidateUniverse,
     UniverseTooLarge,
@@ -18,6 +26,7 @@ from jdist.maximality import (
     maximal_clique_structure,
     verify_point_set,
 )
+from jdist.numbertheory import max_extendable_n
 
 
 def test_build_universe_9_2_complete():
@@ -54,6 +63,112 @@ def test_build_universe_9_3_pair_structure():
         assert d == 8
         pairs += 1
     assert pairs == 72
+
+
+def _lanes(values):
+    """One big integer holding ``values`` (each below 2**32) in 32-bit lanes."""
+    return int.from_bytes(array("I", values).tobytes(), sys.byteorder)
+
+
+def brute_force_conflicts(universe):
+    """Conflict masks from the squared distance of every vertex pair, with
+    no use of the orbits.
+
+    Row i holds |p_i|^2 + |p_j|^2 - 2 p_i.p_j for all j at once: coordinates
+    are shifted to be non-negative (a shift keeps distances), each
+    coordinate column is packed into 32-bit lanes, and since every lane's
+    value lies in [0, 2**32) the packed sum reads back lane by lane.
+    """
+    n = universe.params.n
+    harmless = {0} | {v * n * n for v in universe.params.allowed_sq_dists()}
+    low = min((min(p) for p in universe.scaled), default=0)
+    points = [[c - low for c in p] for p in universe.scaled]
+    norms = [sum(c * c for c in p) for p in points]
+    assert 4 * max(norms, default=0) < 2**32  # no lane overflows
+    size = len(points)
+    columns = [_lanes(column) for column in zip(*points)]
+    packed_norms, ones = _lanes(norms), _lanes([1] * size)
+    conflicts = []
+    for p, norm in zip(points, norms):
+        packed = norm * ones + packed_norms - 2 * sum(c * col for c, col in zip(p, columns))
+        sq_dists = array("I", packed.to_bytes(4 * size, sys.byteorder))
+        mask = 0
+        if not all(map(harmless.__contains__, sq_dists)):
+            for j, d in enumerate(sq_dists):
+                if d not in harmless:
+                    mask |= 1 << j
+        conflicts.append(mask)
+    return tuple(conflicts)
+
+
+def small_instances(max_points=3000):
+    """Every (n, m) with m in 2..6 whose addable families hold 1..max_points points."""
+    for m in range(2, 7):
+        for n in range(2 * m, max_extendable_n(m) + 1):
+            total = sum(f.size for f in addable_families(Parameters(n, m)))
+            if 0 < total <= max_points:
+                yield n, m
+
+
+def test_orbit_built_conflicts_match_all_pairs():
+    instances = list(small_instances())
+    assert {(9, 3), (9, 4), (18, 5), (27, 6)} <= set(instances)
+    for n, m in instances:
+        u = build_universe(Parameters(n, m))
+        assert u.conflicts == brute_force_conflicts(u), (n, m)
+
+    # the oracle itself, against the plain squared distance on (9, 4)
+    u = build_universe(Parameters(9, 4))
+    conflicts = brute_force_conflicts(u)
+    for i, p in enumerate(u.scaled):
+        for j, q in enumerate(u.scaled):
+            d = sum((a - b) ** 2 for a, b in zip(p, q))
+            assert (conflicts[i] >> j & 1) == (d not in {0, 162, 324, 486, 648}), (i, j)
+
+    # (9, 4) conflicts inside the 252-point orbit and across to the deep orbit
+    family_of = {p: fam.counts for fam in u.families for p in fam.scaled_points()}
+    kinds = set()
+    for i, mask in enumerate(u.conflicts):
+        for j in range(u.size):
+            if mask >> j & 1:
+                kinds.add((family_of[u.scaled[i]], family_of[u.scaled[j]]))
+    assert kinds == {
+        ((2, 6, 1), (2, 6, 1)),
+        ((2, 6, 1), (8, 0, 1)),
+        ((8, 0, 1), (2, 6, 1)),
+    }
+    assert sum(mask.bit_count() for mask in u.conflicts) // 2 == 2016
+
+
+def test_universe_caps_conflict_edges():
+    # n = 9, m = 4: 306 points and 2,016 conflict edges
+    with pytest.raises(UniverseTooLarge, match="2016 conflict edges exceed the cap 2015"):
+        build_universe(Parameters(9, 4), cap=2015)
+    assert build_universe(Parameters(9, 4), cap=2016).size == 306
+
+
+def test_classify_reports_over_the_edge_cap_quickly():
+    # 523,260 and about 15.5 million conflict edges, under the point cap
+    for (n, m), points, lower in (((18, 6), 18667, 306), ((16, 7), 45616, 1680)):
+        start = time.perf_counter()
+        r = classify(Parameters(n, m))
+        assert time.perf_counter() - start < 5.0
+        assert r.universe_size == points
+        assert not r.complete and not r.optimal
+        assert r.added_count == lower
+        assert any("materialization cap" in note for note in r.notes)
+
+
+def test_classify_32_7_is_a_perfect_matching():
+    start = time.perf_counter()
+    r = classify(Parameters(32, 7))
+    assert time.perf_counter() - start < 5.0
+    assert r.universe_size == 32 + 14880 + 992
+    assert r.added_count == 32 + 14880 + 496 == 15408
+    assert r.optimal and not r.complete
+    assert r.incompatibilities == ("intra k0=-8 k=(1, 30, 0, 1)",)
+    s = r.clique_structure
+    assert (s.min_size, s.max_size, s.count, s.method) == (15408, 15408, 2**496, "complement-matching")
 
 
 def test_universe_cap():
@@ -93,6 +208,9 @@ def test_max_clique_9_3():
     assert structure.count == 2**36
     assert structure.method == "complement-matching"
 
+    # (9, 4) has vertices with several conflicts: no structure is claimed
+    assert maximal_clique_structure(build_universe(Parameters(9, 4))) is None
+
 
 def test_max_clique_invariant_under_relabelling():
     u = build_universe(Parameters(9, 3))
@@ -100,28 +218,28 @@ def test_max_clique_invariant_under_relabelling():
     perm = list(range(u.size))
     rng.shuffle(perm)
     position = {old: new for new, old in enumerate(perm)}
-    adjacency = [0] * u.size
+    conflicts = [0] * u.size
     for old in range(u.size):
         mask = 0
-        probe = u.adjacency[old]
+        probe = u.conflicts[old]
         while probe:
             j = (probe & -probe).bit_length() - 1
             probe &= probe - 1
             mask |= 1 << position[j]
-        adjacency[position[old]] = mask
-    shuffled = dataclasses.replace(u, adjacency=tuple(adjacency))
+        conflicts[position[old]] = mask
+    shuffled = dataclasses.replace(u, conflicts=tuple(conflicts))
     assert max_clique(shuffled).size == 37
 
 
 def graph_universe(masks):
     """A universe whose compatibility graph is given by adjacency masks."""
     size = len(masks)
+    full = (1 << size) - 1
     return CandidateUniverse(
         Parameters(4, 2),
         (),
-        tuple((F(i),) for i in range(size)),
         tuple((i,) for i in range(size)),
-        tuple(masks),
+        tuple(full ^ mask ^ (1 << i) for i, mask in enumerate(masks)),
     )
 
 
