@@ -31,6 +31,10 @@ from .numbertheory import is_extendable, max_extendable_n, special_factor
 
 TABLE_SEARCH_BUDGET = 20_000
 
+# Largest n that ``sub2`` accepts: its exact pair checks take a few
+# seconds at n = 200 and about 12 s at n = 300.
+SUB2_MAX_N = 200
+
 # Reference classification tables: n -> (added, total, status kind).  The
 # n = 9, m = 4 maximum is open; its row carries the best known witness.
 TABLES_EXPECTED = {
@@ -375,13 +379,16 @@ def _public_arguments(config: argparse.Namespace) -> dict:
     return args
 
 
-def _int_at_least(low: int):
-    """An argparse ``type=`` that accepts integers ``>= low``."""
+def _int_bounded(low: int | None = None, high: int | None = None):
+    """An argparse ``type=`` that accepts integers in ``[low, high]``; a
+    bound given as None is not checked."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
@@ -393,11 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", help="write the report to a file instead of stdout")
     common.add_argument(
-        "--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="clique search node budget"
+        "--budget", type=_int_bounded(0), default=DEFAULT_BUDGET, help="clique search node budget"
     )
     common.add_argument(
         "--cap",
-        type=_int_at_least(0),
+        type=_int_bounded(0),
         default=DEFAULT_CAP,
         help="cap on the candidate points and on the conflict edges materialized",
     )
@@ -431,14 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sub2", parents=[common], help="two-distance extensions with a fixed last axis"
     )
-    p.add_argument("n", type=int)
+    # n < 5 is left to solve_sub_families, which reports it as an error line
+    p.add_argument("n", type=_int_bounded(high=SUB2_MAX_N))
 
     p = sub.add_parser("corollary", parents=[common], help="largest extendable n for each m")
-    p.add_argument("m_max", type=_int_at_least(2))
+    p.add_argument("m_max", type=_int_bounded(2))
 
     p = sub.add_parser("verify", parents=[common], help="verify a point set from a JSON file")
     p.add_argument("file")
-    p.add_argument("--m", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_bounded(1), required=True)
     p.add_argument("--johnson", action="store_true", help="require the Johnson distance set")
 
     return parser

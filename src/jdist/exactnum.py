@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 Rational = Fraction
 
@@ -78,11 +79,19 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 class QuadNum:
     """A sum of rational multiples of square roots of squarefree integers.
 
-    Radicand 1 carries the rational part.  Distinct squarefree radicands
-    are linearly independent over the rationals, so two values are equal
-    exactly when their term mappings are identical, and a value is zero
-    exactly when it has no terms.  Instances are immutable and hashable;
-    a purely rational QuadNum hashes like the equal Fraction.
+    Normal form: ``terms`` is a tuple of ``(radicand, coefficient)`` pairs
+    with ascending squarefree radicands and nonzero ``Fraction``
+    coefficients; radicand 1 carries the rational part.  The constructor
+    accepts a mapping or an iterable of pairs with int or ``Fraction``
+    coefficients, merges repeated radicands and drops zeros.  It factors
+    each radicand above 1 with :func:`squarefree_decompose` (``sqrt(12)``
+    becomes ``2*sqrt(3)``); radicands 0 and 1 are never factored.
+
+    Distinct squarefree radicands are linearly independent over the
+    rationals, so two values are equal exactly when their term tuples are
+    identical, and a value is zero exactly when it has no terms.
+    Instances are immutable and hashable; a purely rational QuadNum hashes
+    like the equal Fraction.
     """
 
     __slots__ = ("_terms",)
@@ -93,15 +102,20 @@ class QuadNum:
         for rad, coeff in items:
             if rad < 0:
                 raise NegativeRadicand(f"negative radicand {rad}")
-            coeff = Fraction(coeff)
-            if rad == 0 or coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if rad == 0 or not coeff:
                 continue
-            s, f = squarefree_decompose(rad)
-            val = acc.get(f, Fraction(0)) + coeff * s
-            if val:
-                acc[f] = val
-            elif f in acc:
-                del acc[f]
+            if rad != 1:
+                s, rad = squarefree_decompose(rad)
+                if s != 1:
+                    coeff *= s
+            if rad in acc:
+                coeff += acc[rad]
+                if not coeff:
+                    del acc[rad]
+                    continue
+            acc[rad] = coeff
         object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
 
     @staticmethod
@@ -128,10 +142,9 @@ class QuadNum:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar) -> "QuadNum":
-        other = QuadNum.of(other)
         acc = dict(self._terms)
-        for rad, coeff in other._terms:
-            acc[rad] = acc.get(rad, Fraction(0)) + coeff
+        for rad, coeff in _operand_terms(other):
+            acc[rad] = acc[rad] + coeff if rad in acc else coeff
         return QuadNum(acc)
 
     __radd__ = __add__
@@ -140,19 +153,23 @@ class QuadNum:
         return QuadNum({rad: -coeff for rad, coeff in self._terms})
 
     def __sub__(self, other: Scalar) -> "QuadNum":
-        return self + (-QuadNum.of(other))
+        acc = dict(self._terms)
+        for rad, coeff in _operand_terms(other):
+            acc[rad] = acc[rad] - coeff if rad in acc else -coeff
+        return QuadNum(acc)
 
     def __rsub__(self, other: Scalar) -> "QuadNum":
         return (-self) + other
 
     def __mul__(self, other: Scalar) -> "QuadNum":
-        other = QuadNum.of(other)
+        other = _operand_terms(other)
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms:
-            for r2, c2 in other._terms:
+            for r2, c2 in other:
                 g = math.gcd(r1, r2)
                 rad = (r1 // g) * (r2 // g)
-                acc[rad] = acc.get(rad, Fraction(0)) + c1 * c2 * g
+                term = c1 * c2 if g == 1 else c1 * c2 * g
+                acc[rad] = acc[rad] + term if rad in acc else term
         return QuadNum(acc)
 
     __rmul__ = __mul__
@@ -173,11 +190,11 @@ class QuadNum:
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, QuadNum):
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            other = QuadNum.of(other)
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == _operand_terms(other)
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
@@ -249,6 +266,14 @@ def sqrt_rational(r: object) -> QuadNum:
         return QuadNum()
     s, f = squarefree_decompose(r.numerator * r.denominator)
     return QuadNum({f: Fraction(s, r.denominator)})
+
+
+def _operand_terms(value: object) -> tuple[tuple[int, Fraction], ...]:
+    """The terms of ``QuadNum.of(value)``, without building it."""
+    if isinstance(value, QuadNum):
+        return value.terms
+    value = Fraction(value)
+    return ((1, value),) if value else ()
 
 
 def _scalar_terms(value: Scalar) -> tuple[tuple[int, object], ...]:

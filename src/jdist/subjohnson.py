@@ -278,7 +278,8 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     pair must preserve the distance to everything already placed.  Both
     sets are keyed over one shared :class:`IntPointSet`; points are padded
     with zero coordinates to the largest dimension, which changes no
-    distance.
+    distance.  Each distance matrix is keyed over its pairs ``i < j`` and
+    mirrored, half the ``sq_dist_key`` calls of the full square.
     """
     if len(set_a) != len(set_b):
         return False
@@ -290,9 +291,17 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     dim = max(map(len, points))
     exact = IntPointSet([(*p, *[0] * (dim - len(p))) for p in points])
     key = exact.sq_dist_key
-    pts_a, pts_b = exact.vectors[:size], exact.vectors[size:]
-    da = [[key(p, q) for q in pts_a] for p in pts_a]
-    db = [[key(p, q) for q in pts_b] for p in pts_b]
+
+    def distances(pts):
+        # squared distances are symmetric and a point's own is the empty
+        # key (), so each unordered pair is keyed once
+        matrix = [[()] * size for _ in range(size)]
+        for i, j in itertools.combinations(range(size), 2):
+            matrix[i][j] = matrix[j][i] = key(pts[i], pts[j])
+        return matrix
+
+    da = distances(exact.vectors[:size])
+    db = distances(exact.vectors[size:])
 
     def signature(matrix, i):
         return tuple(sorted(Counter(d for j, d in enumerate(matrix[i]) if j != i).items()))

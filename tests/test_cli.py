@@ -287,3 +287,19 @@ def test_large_sizes_without_addable_families_finish():
     code, out = invoke("families", "80", "8", "--addable")
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (0, "families for n=80, m=8: 0\n")
+
+
+def test_sub2_upper_bound(capsys):
+    # refused at parse time, before any family is solved
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["sub2", "201"])
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "jdist sub2: error: argument n: must be at most 200, got 201"
+    )
+    assert config_from_args(["sub2", "200"]).n == 200
+    # below 5 is still an error line from the solver, not a usage error
+    assert main(["sub2", "4"]) == 2
+    assert capsys.readouterr().err == "error: need n >= 5, got 4\n"

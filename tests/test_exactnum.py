@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import jdist.exactnum
 from jdist.exactnum import (
     NegativeDiscriminant,
     NegativeRadicand,
@@ -18,6 +19,7 @@ from jdist.exactnum import (
     sqrt_rational,
     squarefree_decompose,
 )
+from jdist.subjohnson import solve_sub_families
 
 
 def test_squarefree_decompose():
@@ -147,3 +149,23 @@ def test_rational_quad_interop():
     assert QuadNum.of(2) == 2 and hash(QuadNum.of(2)) == hash(2)
     with pytest.raises(ValueError):
         sqrt_rational(2).as_fraction()
+
+
+def test_rational_arithmetic_factors_nothing(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return squarefree_decompose(n)
+
+    monkeypatch.setattr(jdist.exactnum, "squarefree_decompose", counted)
+    a, b = QuadNum.of(F(3, 4)), QuadNum({1: -2})
+    values = [a + b, a - b, b - a, a * b, -a, a / b, a**3, a + 1, 2 - a, a * F(5, 7), F(1, 2) * b]
+    values.append(QuadNum([(1, F(1, 3)), (1, 2), (0, 5), (1, 0)]))
+    assert [hash(v) for v in values] == [hash(v.as_fraction()) for v in values]
+    assert a == F(3, 4) and a != b and values[-1] == F(7, 3)
+    assert calls == []
+
+    # the fixed-last-axis solve factors only its irrational radicands
+    solve_sub_families(17)
+    assert calls and 1 not in calls

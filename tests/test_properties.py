@@ -8,7 +8,9 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from jdist.exactnum import IntPointSet, QuadNum, format_quad, parse_quad
+import pytest
+
+from jdist.exactnum import IntPointSet, NegativeRadicand, QuadNum, format_quad, parse_quad
 
 RADICANDS = (1, 2, 3, 5, 6, 15, 21)
 
@@ -87,3 +89,82 @@ def test_rational_and_radical_bases():
     assert (mixed.radicands, mixed.denominator) == ((1, 5, 15), 2)
     key = mixed.sq_dist_key(*mixed.vectors)
     assert mixed.value_of(key) == F(35, 4)
+
+
+# radicands as the constructor may receive them: squarefree or not
+RAW_RADICANDS = (1, 2, 3, 4, 5, 6, 8, 12, 15, 18, 50)
+
+
+def rand_raw_terms(rng):
+    """Raw (radicand, coefficient) pairs, some of which cancel."""
+    terms = []
+    for _ in range(rng.randrange(5)):
+        coeff = rand_coefficient(rng) if rng.randrange(2) else rng.randrange(-4, 5)
+        terms.append((rng.choice(RAW_RADICANDS), coeff))
+    if rng.randrange(2):
+        # c*sqrt(r*s^2) cancels against -c*s*sqrt(r)
+        rad, s, coeff = rng.choice((1, 2, 3, 5)), rng.randrange(1, 4), rand_coefficient(rng)
+        terms += [(rad * s * s, coeff), (rad, -coeff * s)]
+    rng.shuffle(terms)
+    return terms
+
+
+def assert_normal_form(q):
+    rads = [rad for rad, _ in q.terms]
+    assert rads == sorted(set(rads))
+    for rad, coeff in q.terms:
+        assert type(coeff) is F and coeff != 0
+        assert all(rad % (p * p) for p in range(2, 8))
+
+
+def test_quadnum_ring_matches_rebuilt_term_sums():
+    rng = random.Random(7070)
+    for _ in range(400):
+        ta, tb = rand_raw_terms(rng), rand_raw_terms(rng)
+        a, b = QuadNum(ta), QuadNum(tb)
+        negated = [(rad, -coeff) for rad, coeff in tb]
+        # sqrt(r1)*sqrt(r2) = sqrt(r1*r2); the constructor factors the product
+        product = [(r1 * r2, F(c1) * c2) for r1, c1 in ta for r2, c2 in tb]
+        expected = {
+            "add": (a + b, QuadNum(ta + tb)),
+            "sub": (a - b, QuadNum(ta + negated)),
+            "mul": (a * b, QuadNum(product)),
+            "neg": (-a, QuadNum((rad, -coeff) for rad, coeff in ta)),
+        }
+        for op, (got, want) in expected.items():
+            assert got == want, (op, ta, tb)
+            assert hash(got) == hash(want), (op, ta, tb)
+            assert got.terms == want.terms
+            assert_normal_form(got)
+
+        # rebuilding from the terms in any order gives an equal value
+        assert QuadNum(reversed(ta)) == a and hash(QuadNum(reversed(ta))) == hash(a)
+        assert QuadNum(a.terms) == a
+        assert (a == b) == (QuadNum(ta + negated).terms == ())
+        assert (a == b) == (not (a - b))
+
+        # int and Fraction operands act as radicand-1 terms
+        c = rand_coefficient(rng) if rng.randrange(2) else rng.randrange(-4, 5)
+        assert a + c == QuadNum(ta + [(1, c)]) == c + a
+        assert a - c == QuadNum(ta + [(1, -c)])
+        assert c - a == QuadNum([(rad, -coeff) for rad, coeff in ta] + [(1, c)])
+        assert a * c == QuadNum([(rad, coeff * c) for rad, coeff in ta]) == c * a
+
+
+def test_quadnum_validation_and_rational_hash():
+    with pytest.raises(NegativeRadicand):
+        QuadNum({-1: 0})  # checked before a zero coefficient is dropped
+    with pytest.raises(NegativeRadicand):
+        QuadNum([(4, 1), (-3, F(1, 2))])
+    with pytest.raises(TypeError):
+        QuadNum({2: None})
+
+    rng = random.Random(4242)
+    for _ in range(200):
+        value = rand_coefficient(rng)
+        s = rng.randrange(1, 5)
+        # value = (value/s) * sqrt(s^2): a rational value through a radicand
+        q = QuadNum([(s * s, value / s), (rng.choice(RAW_RADICANDS[1:]), 0)])
+        assert q.is_rational() and q == value
+        assert hash(q) == hash(value)
+        assert hash(QuadNum.of(value.numerator)) == hash(value.numerator)

@@ -1,5 +1,6 @@
 """Fixed-last-axis setting: solved families, combinations, congruence."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from jdist.subjohnson import (
     solve_sub_families,
     sq_dist_points,
     sub_johnson_points,
+    sub_johnson_size,
     sub_sq_dist,
     union_points,
 )
@@ -214,3 +216,46 @@ def test_congruent_examples():
 def test_congruent_n5_bridge():
     assert congruent(union_points(5, ["S3+"]), union_points(5, ["S4+"]))
     assert congruent(union_points(5, ["S3-"]), union_points(5, ["S4-"]))
+
+
+def sub2_unions(n):
+    """The sub2 unions of n: every combination of solved families."""
+    return [c.labels for c in combination_search(n).combinations]
+
+
+def test_congruent_shuffled_and_moved_unions():
+    rng = random.Random(5678)
+    for n in range(5, 9):
+        for labels in sub2_unions(n):
+            points = union_points(n, labels)
+            # reordering the points and permuting the first n-1 axes (the
+            # symmetry of the representation) is an isometry
+            axes = rng.sample(range(n - 1), n - 1) + [n - 1]
+            shuffled = [tuple(p[i] for i in axes) for p in rng.sample(points, len(points))]
+            assert congruent(points, shuffled), (n, labels)
+            assert congruent(shuffled, points), (n, labels)
+
+            # swapping the last coordinate of one family point with a
+            # different one of the first n-1 moves it off its orbit, which
+            # only permutes those; its norm stays the same
+            moved = list(points)
+            pos = rng.randrange(sub_johnson_size(n), len(points))
+            p = list(moved[pos])
+            slot = rng.choice([i for i in range(n - 1) if p[i] != p[-1]])
+            p[slot], p[-1] = p[-1], p[slot]
+            moved[pos] = tuple(p)
+            assert not congruent(points, moved), (n, labels, pos, slot)
+            assert not congruent(moved, points), (n, labels, pos, slot)
+
+
+def test_congruent_listed_mirror_pairs():
+    for n in range(5, 9):
+        labels = {f.label for f in solve_sub_families(n)}
+        for kind in (1, 2, 3, 4):
+            plus, minus = f"S{kind}+", f"S{kind}-"
+            assert plus in labels and minus in labels, (n, kind)
+            assert congruent(union_points(n, [plus]), union_points(n, [minus])), (n, kind)
+    # the two listed maximal unions of n = 6 and of n = 8 mirror each other
+    listed = {6: (("S1+", "S4-"), ("S1-", "S4+")), 8: (("S2+", "S4+"), ("S2-", "S4-"))}
+    for n, (first, second) in listed.items():
+        assert congruent(union_points(n, first), union_points(n, second)), n
