@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 from . import subjohnson
 from .exactnum import parse_quad
-from .families import Parameters, addable_families, enumerate_families, is_addable, max_sq_dist
+from .families import (
+    Parameters,
+    addable_families,
+    enumerate_families,
+    family_counts,
+    is_addable,
+    max_sq_dist,
+)
 from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, classify, verify_point_set
 from .numbertheory import is_extendable, max_extendable_n, special_factor
 
@@ -114,7 +121,16 @@ def _cmd_predicate(config: argparse.Namespace) -> Report:
 
 def _cmd_families(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
-    families = addable_families(params) if config.addable_only else enumerate_families(params)
+    if config.addable_only:
+        families = addable_families(params)
+    else:
+        over = next((c for c in family_counts(params) if c > config.cap), None)
+        if over is not None:
+            raise ValueError(
+                f"at least {over} families exceed the cap {config.cap}; "
+                "raise --cap or pass --addable"
+            )
+        families = enumerate_families(params)
     entries = [
         dict(fam.to_json(), addable=is_addable(fam), peak_sq_dist=str(max_sq_dist(fam)))
         for fam in families
@@ -406,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=_int_bounded(0),
         default=DEFAULT_CAP,
-        help="cap on the candidate points and on the conflict edges materialized",
+        help="cap on the candidate points and on the conflict edges materialized, "
+        "and on the families that families lists without --addable",
     )
 
     parser = argparse.ArgumentParser(

@@ -83,9 +83,10 @@ class QuadNum:
     with ascending squarefree radicands and nonzero ``Fraction``
     coefficients; radicand 1 carries the rational part.  The constructor
     accepts a mapping or an iterable of pairs with int or ``Fraction``
-    coefficients, merges repeated radicands and drops zeros.  It factors
-    each radicand above 1 with :func:`squarefree_decompose` (``sqrt(12)``
-    becomes ``2*sqrt(3)``); radicands 0 and 1 are never factored.
+    coefficients (anything else is a ``TypeError``), merges repeated
+    radicands and drops zeros.  It factors each radicand above 1 with
+    :func:`squarefree_decompose` (``sqrt(12)`` becomes ``2*sqrt(3)``);
+    radicands 0 and 1 are never factored.
 
     Distinct squarefree radicands are linearly independent over the
     rationals, so two values are equal exactly when their term tuples are
@@ -103,7 +104,7 @@ class QuadNum:
             if rad < 0:
                 raise NegativeRadicand(f"negative radicand {rad}")
             if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+                coeff = _rational(coeff)
             if rad == 0 or not coeff:
                 continue
             if rad != 1:
@@ -122,7 +123,7 @@ class QuadNum:
     def of(value: Scalar) -> "QuadNum":
         if isinstance(value, QuadNum):
             return value
-        return QuadNum({1: Fraction(value)})
+        return QuadNum({1: _rational(value)})
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -143,7 +144,7 @@ class QuadNum:
 
     def __add__(self, other: Scalar) -> "QuadNum":
         acc = dict(self._terms)
-        for rad, coeff in _operand_terms(other):
+        for rad, coeff in _scalar_terms(other):
             acc[rad] = acc[rad] + coeff if rad in acc else coeff
         return QuadNum(acc)
 
@@ -154,7 +155,7 @@ class QuadNum:
 
     def __sub__(self, other: Scalar) -> "QuadNum":
         acc = dict(self._terms)
-        for rad, coeff in _operand_terms(other):
+        for rad, coeff in _scalar_terms(other):
             acc[rad] = acc[rad] - coeff if rad in acc else -coeff
         return QuadNum(acc)
 
@@ -162,7 +163,7 @@ class QuadNum:
         return (-self) + other
 
     def __mul__(self, other: Scalar) -> "QuadNum":
-        other = _operand_terms(other)
+        other = _scalar_terms(other)
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms:
             for r2, c2 in other:
@@ -177,7 +178,7 @@ class QuadNum:
     def __truediv__(self, other: Scalar) -> "QuadNum":
         if isinstance(other, QuadNum):
             other = other.as_fraction()
-        return self * (Fraction(1) / Fraction(other))
+        return self * (1 / _rational(other))
 
     def __pow__(self, exponent: int) -> "QuadNum":
         if exponent < 0:
@@ -193,7 +194,7 @@ class QuadNum:
         if isinstance(other, QuadNum):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == _operand_terms(other)
+            return self._terms == _scalar_terms(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -259,7 +260,7 @@ class QuadNum:
 
 def sqrt_rational(r: object) -> QuadNum:
     """Exact positive square root of a non-negative rational."""
-    r = Fraction(r)
+    r = _rational(r)
     if r < 0:
         raise NegativeRadicand(f"cannot take a real square root of {r}")
     if r == 0:
@@ -268,19 +269,22 @@ def sqrt_rational(r: object) -> QuadNum:
     return QuadNum({f: Fraction(s, r.denominator)})
 
 
-def _operand_terms(value: object) -> tuple[tuple[int, Fraction], ...]:
-    """The terms of ``QuadNum.of(value)``, without building it."""
-    if isinstance(value, QuadNum):
-        return value.terms
-    value = Fraction(value)
-    return ((1, value),) if value else ()
-
-
-def _scalar_terms(value: Scalar) -> tuple[tuple[int, object], ...]:
-    if isinstance(value, QuadNum):
-        return value.terms
-    if not isinstance(value, (int, Fraction)):
+def _rational(value: object) -> Fraction:
+    """An exact rational as a Fraction: only int and Fraction qualify, so a
+    float or a string never reaches exact arithmetic."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, int):
         raise TypeError(f"expected an exact scalar, got {value!r}")
+    return Fraction(value)
+
+
+def _scalar_terms(value: Scalar) -> tuple[tuple[int, Fraction], ...]:
+    """The terms of ``QuadNum.of(value)``, without building it; only int,
+    Fraction and QuadNum are exact scalars."""
+    if isinstance(value, QuadNum):
+        return value.terms
+    value = _rational(value)
     return ((1, value),) if value else ()
 
 
@@ -372,7 +376,7 @@ class IntPointSet:
 
 def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:
     """Both exact roots of ``a*x^2 + b*x + c = 0``, minus-branch first."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = _rational(a), _rational(b), _rational(c)
     if a == 0:
         raise ValueError("leading coefficient must be nonzero")
     disc = b * b - 4 * a * c
@@ -394,7 +398,7 @@ _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
 
 
 def format_rational(value: object) -> str:
-    return str(Fraction(value))
+    return str(_rational(value))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -232,27 +232,47 @@ def enumerate_families(params: Parameters) -> Iterator[CandidateFamily]:
             yield fam
 
 
-def iter_profiles(fam: CandidateFamily) -> Iterator[Profile]:
-    """All overlap profiles: 0 <= i_j <= counts[j-1], sum = m."""
-    m = fam.params.m
-    counts = fam.counts
-    suffix = [0] * (len(counts) + 1)
-    for j in range(len(counts) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + counts[j]
-    profile = [0] * len(counts)
+def family_counts(params: Parameters) -> Iterator[int]:
+    """How many families :func:`enumerate_families` has yielded once each
+    depth 1..m is done, in closed form, without enumerating.
 
-    def rec(idx: int, left: int) -> Iterator[Profile]:
-        if idx == len(counts):
+    Depth d >= 2 has the C(n + d - 3, d - 1) compositions of n into d parts
+    with positive ends, so depths 2..d hold C(n + d - 2, d - 1) - 1 (the
+    hockey-stick identity).  The one-level family adds one and the Johnson
+    pattern (depth 2) takes one away.  With n >= 2m the counts grow at
+    least threefold per depth, so comparing them with a bound stops early.
+    """
+    yield 1
+    for depth in range(2, params.m + 1):
+        yield math.comb(params.n + depth - 2, depth - 1) - 1
+
+
+def bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Tuples ``t`` with ``0 <= t[i] <= bounds[i]`` summing to ``total``,
+    lexicographically from the largest."""
+    parts = len(bounds)
+    suffix = [0] * (parts + 1)  # suffix[i] = sum(bounds[i:])
+    for i in range(parts - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + bounds[i]
+    out = [0] * parts
+
+    def rec(idx: int, left: int) -> Iterator[tuple[int, ...]]:
+        if idx == parts:
             if left == 0:
-                yield tuple(profile)
+                yield tuple(out)
             return
         if left > suffix[idx]:
             return
-        for v in range(min(counts[idx], left), -1, -1):
-            profile[idx] = v
+        for v in range(min(bounds[idx], left), -1, -1):
+            out[idx] = v
             yield from rec(idx + 1, left - v)
 
-    yield from rec(0, m)
+    yield from rec(0, total)
+
+
+def iter_profiles(fam: CandidateFamily) -> Iterator[Profile]:
+    """All overlap profiles: 0 <= i_j <= counts[j-1], sum = m."""
+    return bounded_compositions(fam.params.m, fam.counts)
 
 
 def is_valid_profile(fam: CandidateFamily, profile: Sequence[int]) -> bool:

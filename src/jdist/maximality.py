@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .exactnum import IntPointSet
 from .families import (
@@ -110,8 +110,8 @@ class CliqueStructure:
     min_size: int
     max_size: int
     count: int
-    exhaustive: bool
-    method: str
+    exhaustive: ClassVar[bool] = True
+    method: ClassVar[str] = "complement-matching"
 
 
 @dataclass(frozen=True)
@@ -126,22 +126,24 @@ class WitnessReport:
 class ClassificationReport:
     params: Parameters
     addable: tuple[CandidateFamily, ...]
-    universe_size: int
-    complete: bool
     incompatibilities: tuple[str, ...]
-    clique_size: int
+    added_count: int
     optimal: bool
     clique_structure: CliqueStructure | None = None
     witness: WitnessReport | None = None
     notes: tuple[str, ...] = ()
 
     @property
-    def added_count(self) -> int:
-        return self.clique_size
+    def universe_size(self) -> int:
+        return sum(f.size for f in self.addable)
+
+    @property
+    def complete(self) -> bool:
+        return not self.incompatibilities
 
     @property
     def maximal_set_cardinality(self) -> int:
-        return self.params.johnson_size + self.clique_size
+        return self.params.johnson_size + self.added_count
 
     def to_json(self) -> dict:
         out = {
@@ -155,7 +157,7 @@ class ClassificationReport:
             "universe_size": self.universe_size,
             "complete_compatibility": self.complete,
             "incompatibilities": list(self.incompatibilities),
-            "added_count": self.clique_size,
+            "added_count": self.added_count,
             "maximal_set_cardinality": self.maximal_set_cardinality,
             "optimal": self.optimal,
             "notes": list(self.notes),
@@ -177,6 +179,15 @@ class ClassificationReport:
                 "spectrum": [str(v) for v in self.witness.spectrum],
             }
         return out
+
+
+def _check_johnson_spectra(families: Sequence[CandidateFamily], allowed: frozenset[int]) -> None:
+    """Raise unless every family keeps its distances to the Johnson points
+    inside ``allowed``: guaranteed by the addability filter, and everything
+    downstream relies on it."""
+    for fam in families:
+        if not johnson_family_spectrum(fam).within(allowed):
+            raise AssertionError(f"addable family {fam} fails the Johnson spectrum check")
 
 
 def _conflicting_pairs(
@@ -209,11 +220,7 @@ def build_universe(params: Parameters, cap: int = DEFAULT_CAP) -> CandidateUnive
         raise UniverseTooLarge(f"{total} candidate points exceed the cap {cap}")
 
     allowed = params.allowed_sq_dists()
-    for fam in families:
-        # guaranteed by the addability filter; asserted since everything
-        # downstream relies on Johnson-compatibility of each vertex
-        assert johnson_family_spectrum(fam).within(allowed)
-
+    _check_johnson_spectra(families, allowed)
     partners: list[list[int]] = [[] for _ in families]
     for a, b in _conflicting_pairs(families, allowed):
         partners[a].append(b)
@@ -424,7 +431,7 @@ def maximal_clique_structure(universe: CandidateUniverse) -> CliqueStructure | N
         return None
     pairs = sum(1 for mask in universe.conflicts if mask) // 2
     clique_size = universe.size - pairs
-    return CliqueStructure(clique_size, clique_size, 2**pairs, True, "complement-matching")
+    return CliqueStructure(clique_size, clique_size, 2**pairs)
 
 
 def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):
@@ -496,95 +503,69 @@ def classify(
     """
     allowed = params.allowed_sq_dists()
     families = tuple(addable_families(params))
-    total = sum(f.size for f in families)
-    notes: list[str] = []
-
-    if not families:
-        return ClassificationReport(
-            params,
-            (),
-            0,
-            True,
-            (),
-            0,
-            True,
-            notes=("no addable candidate vectors; the representation is maximal",),
-        )
-
-    for fam in families:
-        if not johnson_family_spectrum(fam).within(allowed):
-            raise AssertionError(f"addable family {fam} fails the Johnson spectrum check")
-    conflicts = [
+    _check_johnson_spectra(families, allowed)
+    pairs = _conflicting_pairs(families, allowed)
+    conflicts = tuple(
         f"intra k0={families[a].offset} k={families[a].counts}"
         if a == b
         else f"cross k0={families[a].offset} k={families[a].counts}"
         f" / k0={families[b].offset} k={families[b].counts}"
-        for a, b in _conflicting_pairs(families, allowed)
-    ]
+        for a, b in pairs
+    )
+    notes: list[str] = []
+    structure = witness = None
 
-    if not conflicts:
+    if not families:
+        notes.append("no addable candidate vectors; the representation is maximal")
+        added, optimal = 0, True
+    elif not conflicts:
         notes.append("all intra- and cross-family spectra stay inside the allowed set")
-        return ClassificationReport(params, families, total, True, (), total, True, notes=tuple(notes))
+        added, optimal = sum(f.size for f in families), True
+    else:
+        if (params.n, params.m) == (9, 4):
+            pts = four_distance_witness_points()
+            ok, spectrum = verify_point_set(pts, params.m, johnson=True)
+            witness = WitnessReport(
+                "Johnson points, both fully addable orbits, one deep-level vector, "
+                "and 86 position-filtered vectors of the large orbit",
+                len(pts),
+                ok,
+                spectrum,
+            )
+            notes.append(
+                "best known extension embedded as an explicit witness; maximality is open"
+            )
+        try:
+            universe = build_universe(params, cap)
+        except UniverseTooLarge:
+            # the largest self-compatible orbit; one vertex is always addable,
+            # so the bound never collapses to zero
+            added = max((f.size for a, f in enumerate(families) if (a, a) not in pairs), default=1)
+            optimal = False
+            notes.append(
+                "universe exceeds the materialization cap; spectrum-level verification only, "
+                "cardinality is a single-family lower bound"
+            )
+        else:
+            seed = None
+            if witness is not None and witness.verified:
+                johnson = set(scaled_johnson_points(params))
+                n = params.n
+                scaled = (tuple(int(c * n) for c in p) for p in pts)
+                seed = [universe.index_of(p) for p in scaled if p not in johnson]
+            result = max_clique(universe, budget=budget, seed=seed)
+            added, optimal = result.size, result.optimal
+            structure = maximal_clique_structure(universe)
+            if structure is not None:
+                notes.append(
+                    "incompatibilities form a perfect partial matching: every maximal clique "
+                    "picks one vertex per incompatible pair plus all universal vertices"
+                )
+            if not optimal:
+                notes.append(
+                    f"search budget of {budget} expansions exhausted; size is a lower bound"
+                )
 
-    witness = None
-    if (params.n, params.m) == (9, 4):
-        pts = four_distance_witness_points()
-        ok, spectrum = verify_point_set(pts, params.m, johnson=True)
-        witness = WitnessReport(
-            "Johnson points, both fully addable orbits, one deep-level vector, "
-            "and 86 position-filtered vectors of the large orbit",
-            len(pts),
-            ok,
-            spectrum,
-        )
-        notes.append("best known extension embedded as an explicit witness; maximality is open")
-
-    try:
-        universe = build_universe(params, cap)
-    except UniverseTooLarge:
-        addable_alone = [f for f in families if f.size == 1 or cross_family_spectrum(f, f).within(allowed)]
-        # one vertex is always addable, so the bound never collapses to zero
-        lower = max((f.size for f in addable_alone), default=1)
-        notes.append(
-            "universe exceeds the materialization cap; spectrum-level verification only, "
-            "cardinality is a single-family lower bound"
-        )
-        return ClassificationReport(
-            params,
-            families,
-            total,
-            False,
-            tuple(conflicts),
-            lower,
-            False,
-            witness=witness,
-            notes=tuple(notes),
-        )
-
-    seed = None
-    if witness is not None and witness.verified:
-        johnson = set(scaled_johnson_points(params))
-        n = params.n
-        scaled = (tuple(int(c * n) for c in p) for p in pts)
-        seed = [universe.index_of(p) for p in scaled if p not in johnson]
-    result = max_clique(universe, budget=budget, seed=seed)
-    structure = maximal_clique_structure(universe)
-    if structure is not None:
-        notes.append(
-            "incompatibilities form a perfect partial matching: every maximal clique picks "
-            "one vertex per incompatible pair plus all universal vertices"
-        )
-    if not result.optimal:
-        notes.append(f"search budget of {budget} expansions exhausted; size is a lower bound")
     return ClassificationReport(
-        params,
-        families,
-        universe.size,
-        False,
-        tuple(conflicts),
-        result.size,
-        result.optimal,
-        clique_structure=structure,
-        witness=witness,
-        notes=tuple(notes),
+        params, families, conflicts, added, optimal, structure, witness, tuple(notes)
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .families import CandidateFamily, iter_profiles, profile_sq_dist
+from .families import CandidateFamily, bounded_compositions, iter_profiles, profile_sq_dist
 
 
 class ParameterMismatch(ValueError):
@@ -78,7 +78,7 @@ def cross_family_spectrum(fam_a: CandidateFamily, fam_b: CandidateFamily) -> Spe
         next_states: dict[tuple[int, ...], set[int]] = {}
         row_cost = [(vals_a[u] - vb) ** 2 for vb in vals_b]
         for remaining, sums in states.items():
-            for assign in _bounded_compositions(row_total, remaining):
+            for assign in bounded_compositions(row_total, remaining):
                 key = tuple(r - a for r, a in zip(remaining, assign))
                 add = sum(a * c for a, c in zip(assign, row_cost))
                 bucket = next_states.setdefault(key, set())
@@ -87,24 +87,3 @@ def cross_family_spectrum(fam_a: CandidateFamily, fam_b: CandidateFamily) -> Spe
     final = states.get(tuple([0] * len(cols)), set())
     return Spectrum.of(Fraction(s, n * n) for s in final)
 
-
-def _bounded_compositions(total: int, bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Tuples summing to ``total`` with per-position caps."""
-    parts = len(bounds)
-    suffix = [0] * (parts + 1)
-    for i in range(parts - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-    out = [0] * parts
-
-    def rec(idx: int, left: int) -> Iterator[tuple[int, ...]]:
-        if idx == parts:
-            if left == 0:
-                yield tuple(out)
-            return
-        if left > suffix[idx]:
-            return
-        for v in range(min(bounds[idx], left), -1, -1):
-            out[idx] = v
-            yield from rec(idx + 1, left - v)
-
-    yield from rec(0, total)

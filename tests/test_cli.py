@@ -289,6 +289,25 @@ def test_large_sizes_without_addable_families_finish():
     assert (code, out) == (0, "families for n=80, m=8: 0\n")
 
 
+def test_families_listing_is_capped():
+    # the closed-form count refuses the listing before any family is built
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jdist.cli", "families", "80", "8"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    code, out = invoke("families", "25", "4", "--cap", "2924", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 2924
+    with pytest.raises(ValueError, match="at least 2924 families exceed the cap 2923"):
+        invoke("families", "25", "4", "--cap", "2923")
+
+
 def test_sub2_upper_bound(capsys):
     # refused at parse time, before any family is solved
     start = time.perf_counter()

@@ -169,3 +169,31 @@ def test_rational_arithmetic_factors_nothing(monkeypatch):
     # the fixed-last-axis solve factors only its irrational radicands
     solve_sub_families(17)
     assert calls and 1 not in calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QuadNum({2: 1}) + 0.1,
+        lambda: QuadNum.of(0.5),
+        lambda: QuadNum({1: 0.25}),
+        lambda: QuadNum.of("1/3"),
+        lambda: format_quad(0.1),
+        lambda: format_rational(0.1),
+        lambda: sqrt_rational(0.5),
+        lambda: solve_quadratic(1, 0.5, -1),
+    ],
+    ids=[
+        "add",
+        "of",
+        "coefficient",
+        "of-str",
+        "format_quad",
+        "format_rational",
+        "sqrt_rational",
+        "solve_quadratic",
+    ],
+)
+def test_inexact_scalars_are_refused(call):
+    with pytest.raises(TypeError, match="expected an exact scalar"):
+        call()

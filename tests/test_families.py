@@ -1,5 +1,6 @@
 """Candidate families: enumeration, distances, addability, contraction."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -11,9 +12,11 @@ from jdist.families import (
     NotReducible,
     Parameters,
     addable_families,
+    bounded_compositions,
     contracted_counts,
     enumerate_families,
     exists_addable,
+    family_counts,
     is_addable,
     iter_profiles,
     johnson_points,
@@ -104,6 +107,27 @@ def test_enumerate_families_examples():
 def test_enumerate_excludes_johnson_pattern():
     for n, m in ((4, 2), (6, 3), (9, 2)):
         assert all(not f.is_johnson_pattern() for f in enumerate_families(Parameters(n, m)))
+
+
+def test_family_counts_match_the_enumeration():
+    for m in range(1, 6):
+        for n in range(2 * m, 15):
+            params = Parameters(n, m)
+            depths = [len(f.counts) for f in enumerate_families(params)]
+            counts = [sum(1 for d in depths if d <= depth) for depth in range(1, m + 1)]
+            assert list(family_counts(params)) == counts, (n, m)
+    assert list(family_counts(Parameters(25, 4)))[-1] == 2924
+    assert list(family_counts(Parameters(49, 5)))[-1] == 270724
+
+
+def test_bounded_compositions_against_brute_force():
+    for bounds in ((), (0,), (3,), (2, 0, 3), (1, 4, 2, 2), (5, 1, 0, 3, 2)):
+        for total in range(sum(bounds) + 2):
+            expected = sorted(
+                (t for t in itertools.product(*(range(b + 1) for b in bounds)) if sum(t) == total),
+                reverse=True,
+            )
+            assert list(bounded_compositions(total, bounds)) == expected, (total, bounds)
 
 
 def test_profile_sq_dist_examples():

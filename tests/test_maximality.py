@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jdist import maximality
 from jdist.families import (
     CandidateFamily,
     Parameters,
@@ -185,6 +186,31 @@ def test_classify_degrades_above_cap():
     assert r.maximal_set_cardinality == 126 + 36
     assert any("materialization cap" in note for note in r.notes)
     assert r.witness is not None and r.witness.verified
+
+
+def test_classify_computes_each_family_spectrum_once(monkeypatch):
+    calls = {"cross": 0, "johnson": 0}
+
+    def counted(name, spectrum):
+        def call(*args):
+            calls[name] += 1
+            return spectrum(*args)
+
+        return call
+
+    for name in ("cross", "johnson"):
+        attr = f"{name}_family_spectrum"
+        monkeypatch.setattr(maximality, attr, counted(name, getattr(maximality, attr)))
+    # over the point cap, over the edge cap, over the edge cap with one
+    # single-point family: the cap fallback reuses the family pairs
+    for params, cap, cross, johnson in (
+        (Parameters(9, 4), 100, 10, 4),
+        (Parameters(9, 4), 2015, 20, 8),
+        (Parameters(18, 6), maximality.DEFAULT_CAP, 10, 6),
+    ):
+        calls.update(cross=0, johnson=0)
+        classify(params, budget=0, cap=cap)
+        assert calls == {"cross": cross, "johnson": johnson}, (params, cap)
 
 
 def test_max_clique_small():
