@@ -18,10 +18,11 @@ a sanity cross-check for tests.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Union
 
 Rational = Fraction
@@ -195,6 +196,9 @@ class QuadNum:
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self._terms == _scalar_terms(other)
+        if isinstance(other, numbers.Number):
+            # an inexact number never compares silently, in either order
+            raise TypeError(f"expected an exact scalar, got {other!r}")
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -308,58 +312,75 @@ class IntPointSet:
     Distinct squarefree radicands are linearly independent and the scale is
     shared, so two squared distances of one set are equal exactly when
     their keys are.  Keys of different sets do not compare.
+
+    Keys come from the Gram form: on each ``f`` the coefficient is ``B(p,
+    p) + B(q, q) - 2B(p, q)`` for a symmetric bilinear ``B(p, q) = <L(p),
+    R(q)>`` (see :func:`_layout`).  ``L``, ``R`` and the norms ``B(p, p)``
+    are laid out once per point, so a pair costs one dot product per ``f``;
+    :meth:`row_keys` and :meth:`distinct_keys` take those for one point
+    against a run of points in one list pass per ``f``.
     """
 
-    __slots__ = ("radicands", "denominator", "vectors", "_plan")
+    __slots__ = ("radicands", "denominator", "vectors", "_plan", "_layouts", "_forms")
 
     def __init__(self, points: Iterable[Sequence[Scalar]]):
-        points = list(points)
-        dim = len(points[0]) if points else 0
-        if any(len(p) != dim for p in points):
+        terms = [[_scalar_terms(c) for c in p] for p in points]
+        dim = len(terms[0]) if terms else 0
+        if any(len(p) != dim for p in terms):
             raise ValueError("points have mixed dimensions")
         radicands, denominators = {1}, {1}
-        for p in points:
+        for p in terms:
             for c in p:
-                for rad, coeff in _scalar_terms(c):
+                for rad, coeff in c:
                     radicands.add(rad)
                     denominators.add(coeff.denominator)
         self.radicands = tuple(sorted(radicands))
         self.denominator = math.lcm(*denominators)
         offset = {rad: i * dim for i, rad in enumerate(self.radicands)}
         vectors = []
-        for p in points:
+        for p in terms:
             flat = [0] * (len(self.radicands) * dim)
             for k, c in enumerate(p):
-                for rad, coeff in _scalar_terms(c):
+                for rad, coeff in c:
                     flat[offset[rad] + k] = coeff.numerator * (self.denominator // coeff.denominator)
             vectors.append(tuple(flat))
         self.vectors = tuple(vectors)
 
         # f -> the (i, j, weight) whose products x_i*x_j land on sqrt(f):
         # a square r_i^2 on f = 1 with weight r_i, and for i < j the cross
-        # term 2*x_i*x_j*sqrt(r_i*r_j) = 2g*x_i*x_j*sqrt((r_i/g)*(r_j/g));
-        # i and j are stored as the slices of their components
-        parts = [slice(i * dim, (i + 1) * dim) for i in range(len(self.radicands))]
-        plan: dict[int, list[tuple[slice, slice, int]]] = {}
+        # term 2*x_i*x_j*sqrt(r_i*r_j) = 2g*x_i*x_j*sqrt((r_i/g)*(r_j/g))
+        plan: dict[int, list[tuple[int, int, int]]] = {}
         for i, r in enumerate(self.radicands):
-            plan.setdefault(1, []).append((parts[i], parts[i], r))
+            plan.setdefault(1, []).append((i, i, r))
             for j in range(i + 1, len(self.radicands)):
                 g = math.gcd(r, self.radicands[j])
                 f = (r // g) * (self.radicands[j] // g)
-                plan.setdefault(f, []).append((parts[i], parts[j], 2 * g))
+                plan.setdefault(f, []).append((i, j, 2 * g))
         self._plan = tuple((f, tuple(plan[f])) for f in sorted(plan))
+        size = len(self.radicands) * dim
+        self._layouts = tuple(_layout(products, dim, size) for _, products in self._plan)
+        self._forms = tuple(_gram_forms(layout, self.vectors) for layout in self._layouts)
 
     def sq_dist_key(self, p: tuple[int, ...], q: tuple[int, ...]) -> Key:
         """Key of the squared distance between two of :attr:`vectors`."""
-        diff = list(map(operator.sub, p, q))
-        key = []
-        for f, products in self._plan:
-            v = 0
-            for i, j, weight in products:
-                v += weight * sum(map(operator.mul, diff[i], diff[j]))
-            if v:
-                key.append((f, v))
-        return tuple(key)
+        forms = [_gram_forms(layout, (p, q)) for layout in self._layouts]
+        (raw,) = _gram_row(forms, 0, 1, 2)
+        return self._key(raw)
+
+    def row_keys(self, a: int, start: int, stop: int) -> list[Key]:
+        """Keys of point ``a`` against points ``start, ..., stop - 1``."""
+        raws = list(_gram_row(self._forms, a, start, stop))
+        keys = {raw: self._key(raw) for raw in set(raws)}
+        return [keys[raw] for raw in raws]
+
+    def distinct_keys(self) -> set[Key]:
+        """The set of keys over all pairs ``i < j``; ``()`` when two points
+        coincide.  Only distinct values are turned into keys."""
+        size = len(self.vectors)
+        raws = set()
+        for a in range(size - 1):
+            raws.update(_gram_row(self._forms, a, a + 1, size))
+        return {self._key(raw) for raw in raws}
 
     def key_of(self, value: Scalar) -> Key:
         """The key a squared distance equal to ``value`` has in this set."""
@@ -372,6 +393,73 @@ class IntPointSet:
         if all(rad == 1 for rad, _ in key):
             return Fraction(key[0][1], scale) if key else Fraction(0)
         return QuadNum((rad, Fraction(v, scale)) for rad, v in key)
+
+    def _key(self, raw: tuple[int, ...]) -> Key:
+        return tuple((f, v) for (f, _), v in zip(self._plan, raw) if v)
+
+
+def _layout(products: tuple[tuple[int, int, int], ...], dim: int, size: int):
+    """Where ``B(p, q) = <L(p), R(q)>`` on one f reads flat vectors of
+    ``size`` integers.
+
+    The f coefficient of ``|p - q|^2`` sums ``weight * <p_i - q_i, p_j -
+    q_j>`` over the plan entries ``(i, j, weight)`` of f, with ``p_i`` the
+    i-th component block of p.  That is ``B(p, p) + B(q, q) - 2B(p, q)``
+    when ``L(p)`` joins the blocks ``p_i`` of a square ``(i, i, r)`` and
+    ``p_i, p_j`` of a cross term ``(i, j, 2g)``, and ``R(q)`` joins the
+    matching ``r * q_i`` and ``g * q_j, g * q_i``.  Returns the gathers of
+    ``L`` and ``R`` (one object when they are equal) and the factors of
+    ``R`` (None when all are 1).
+    """
+    left, right, factors = [], [], []
+    for i, j, weight in products:
+        block_i, block_j = range(i * dim, (i + 1) * dim), range(j * dim, (j + 1) * dim)
+        if i == j:
+            left += block_i
+            right += block_i
+            factors += [weight] * dim
+        else:
+            left += [*block_i, *block_j]
+            right += [*block_j, *block_i]
+            factors += [weight // 2] * (2 * dim)
+    take_left = _gather(left, size)
+    return (
+        take_left,
+        take_left if right == left else _gather(right, size),
+        None if all(c == 1 for c in factors) else tuple(factors),
+    )
+
+
+def _gather(indices: list[int], size: int):
+    """A function taking ``v[i]`` for every ``i`` of ``indices``, as a tuple."""
+    if indices == list(range(size)):
+        return tuple  # all of v, which a tuple returns without a copy
+    # any other gather reads a cross term's two blocks, so at least two
+    # indices, and itemgetter returns a tuple
+    return itemgetter(*indices)
+
+
+def _gram_forms(layout, vectors) -> tuple[list[int], list, list]:
+    """The norms ``B(p, p)``, the ``L(p)`` and the ``R(p)`` of all ``vectors``
+    on one f with the given :func:`_layout`."""
+    take_left, take_right, factors = layout
+    lefts = list(map(take_left, vectors))
+    rights = lefts if take_right is take_left else list(map(take_right, vectors))
+    if factors is not None:
+        rights = [tuple(map(mul, factors, y)) for y in rights]
+    norms = [sum(map(mul, x, y)) for x, y in zip(lefts, rights)]
+    return norms, lefts, rights
+
+
+def _gram_row(forms, a: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
+    """The raw keys of point ``a`` against points ``start, ..., stop - 1``:
+    one integer per f (zeros kept), from one list pass over the run per f."""
+    per_f = []
+    for norms, lefts, rights in forms:
+        norm, left = norms[a], lefts[a]
+        run = zip(norms[start:stop], rights[start:stop])
+        per_f.append([norm + n - 2 * sum(map(mul, left, right)) for n, right in run])
+    return zip(*per_f)
 
 
 def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:

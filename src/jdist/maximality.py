@@ -443,8 +443,7 @@ def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):
     2m}, the distance set of the Johnson representation.
     """
     exact = IntPointSet(points)
-    key, vectors = exact.sq_dist_key, exact.vectors
-    found = {key(p, q) for i, p in enumerate(vectors) for q in vectors[i + 1 :]}
+    found = exact.distinct_keys()
     found.discard(())  # coincident points
     values = tuple(sorted(exact.value_of(k) for k in found))  # exact ordering
 

@@ -217,20 +217,20 @@ def combination_search(n: int) -> CombinationReport:
     families = solve_sub_families(n)
     exact = IntPointSet([p for f in families for p in f.points()])
     allowed = {exact.key_of(d) for d in TWO_DISTANCE}
-    blocks = []
+    blocks = []  # each family's run of point indices
     start = 0
     for f in families:
-        blocks.append(exact.vectors[start : start + f.size])
+        blocks.append(range(start, start + f.size))
         start += f.size
     count = len(families)
-    key = exact.sq_dist_key
 
+    # each family is one orbit of the permutations of the first n - 1 axes,
+    # isometries that map every family onto itself; so the distances within
+    # a family, or from it to another family, are those of its first point
     def two_distance(i: int, j: int) -> bool:
-        for pos, p in enumerate(blocks[i]):
-            for q in blocks[j][pos + 1 :] if i == j else blocks[j]:
-                if key(p, q) not in allowed:
-                    return False
-        return True
+        first = blocks[i].start
+        others = range(first + 1, blocks[i].stop) if i == j else blocks[j]
+        return allowed.issuperset(exact.row_keys(first, others.start, others.stop))
 
     intra = tuple(two_distance(i, i) for i in range(count))
     usable = [i for i in range(count) if intra[i]]
@@ -279,7 +279,7 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     sets are keyed over one shared :class:`IntPointSet`; points are padded
     with zero coordinates to the largest dimension, which changes no
     distance.  Each distance matrix is keyed over its pairs ``i < j`` and
-    mirrored, half the ``sq_dist_key`` calls of the full square.
+    mirrored: one :meth:`IntPointSet.row_keys` row per point.
     """
     if len(set_a) != len(set_b):
         return False
@@ -290,18 +290,19 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     points = [*set_a, *set_b]
     dim = max(map(len, points))
     exact = IntPointSet([(*p, *[0] * (dim - len(p))) for p in points])
-    key = exact.sq_dist_key
 
-    def distances(pts):
+    def distances(offset):
         # squared distances are symmetric and a point's own is the empty
         # key (), so each unordered pair is keyed once
         matrix = [[()] * size for _ in range(size)]
-        for i, j in itertools.combinations(range(size), 2):
-            matrix[i][j] = matrix[j][i] = key(pts[i], pts[j])
+        for i in range(size):
+            row = exact.row_keys(offset + i, offset + i + 1, offset + size)
+            for j, key in enumerate(row, i + 1):
+                matrix[i][j] = matrix[j][i] = key
         return matrix
 
-    da = distances(exact.vectors[:size])
-    db = distances(exact.vectors[size:])
+    da = distances(0)
+    db = distances(size)
 
     def signature(matrix, i):
         return tuple(sorted(Counter(d for j, d in enumerate(matrix[i]) if j != i).items()))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -182,6 +183,12 @@ def test_rational_arithmetic_factors_nothing(monkeypatch):
         lambda: format_rational(0.1),
         lambda: sqrt_rational(0.5),
         lambda: solve_quadratic(1, 0.5, -1),
+        lambda: QuadNum.of(1) == 1.0,
+        lambda: 1.0 == QuadNum.of(1),
+        lambda: QuadNum.of(1) != 1.0,
+        lambda: 1.0 != QuadNum.of(1),
+        lambda: QuadNum({2: 1}) == 1.4142135623730951,
+        lambda: QuadNum.of(1) == Decimal(1),
     ],
     ids=[
         "add",
@@ -192,8 +199,21 @@ def test_rational_arithmetic_factors_nothing(monkeypatch):
         "format_rational",
         "sqrt_rational",
         "solve_quadratic",
+        "eq-float",
+        "eq-float-reflected",
+        "ne-float",
+        "ne-float-reflected",
+        "eq-float-radical",
+        "eq-decimal",
     ],
 )
 def test_inexact_scalars_are_refused(call):
     with pytest.raises(TypeError, match="expected an exact scalar"):
         call()
+
+
+def test_non_numeric_comparison_is_unequal():
+    q = QuadNum.of(1)
+    assert q != "1" and q != None and q != (1,)  # noqa: E711
+    assert not q == "1" and not None == q  # noqa: E711
+    assert q == 1 and 1 == q and q == F(1) and F(1) == q

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from jdist import maximality
+from jdist.exactnum import QuadNum
 from jdist.families import (
     CandidateFamily,
     Parameters,
@@ -471,6 +472,21 @@ def test_verify_point_set_examples():
     ok, spectrum = verify_point_set(bad, 3, johnson=True)
     assert not ok
     assert F(8) in spectrum
+
+
+def test_verify_point_set_edge_cases():
+    assert verify_point_set([], 1) == (True, ())
+    assert verify_point_set([(F(1, 3), 2)], 1, johnson=True) == (True, ())
+    # a coincident pair is not a distance
+    ok, spectrum = verify_point_set([(1, 0), (1, 0), (0, 1)], 1)
+    assert ok and spectrum == (2,) and type(spectrum[0]) is F
+    # squared distances 5, 1 and (1 + sqrt2)^2 + 3 = 6 + 2*sqrt2
+    points = [(QuadNum({2: 1}), 0), (0, QuadNum({3: 1})), (QuadNum({1: 1, 2: 1}), 0)]
+    ok, spectrum = verify_point_set(points, 3)
+    assert ok
+    assert spectrum == (1, 5, QuadNum({1: 6, 2: 2}))
+    assert isinstance(spectrum[2], QuadNum) and not spectrum[2].is_rational()
+    assert not verify_point_set(points, 3, johnson=True)[0]
 
 
 def test_verify_point_set_mixed_dimensions():

@@ -61,6 +61,31 @@ def test_keys_match_quadnum_arithmetic():
             assert (keys[a] == keys[b]) == (values[a] == values[b])
 
 
+def test_row_and_distinct_keys_match_quadnum_arithmetic():
+    rng = random.Random(1709)
+    sizes = [0, 1] + [rng.randrange(2, 7) for _ in range(120)]
+    for size in sizes:
+        dim = rng.randrange(1, 5)
+        points = [tuple(rand_scalar(rng) for _ in range(dim)) for _ in range(size)]
+        if size > 1 and rng.randrange(2):
+            points.insert(rng.randrange(size), rng.choice(points))  # a coincident pair
+        exact = IntPointSet(points)
+        count = len(points)
+        for a in range(count):
+            keys = exact.row_keys(a, 0, count)
+            assert len(keys) == count
+            for b, key in enumerate(keys):
+                assert key == exact.sq_dist_key(exact.vectors[a], exact.vectors[b])
+                assert exact.value_of(key) == quad_sq_dist(points[a], points[b])
+            start = rng.randrange(count + 1)
+            stop = rng.randrange(start, count + 1)
+            assert exact.row_keys(a, start, stop) == keys[start:stop]
+        distinct = exact.distinct_keys()
+        values = {quad_sq_dist(p, q) for p, q in itertools.combinations(points, 2)}
+        assert distinct == {exact.key_of(v) for v in values}
+        assert (() in distinct) == (len(set(points)) < count)
+
+
 def test_parse_format_round_trip():
     rng = random.Random(1352)
     for _ in range(300):

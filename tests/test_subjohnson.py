@@ -1,13 +1,15 @@
 """Fixed-last-axis setting: solved families, combinations, congruence."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from jdist.exactnum import QuadNum, sqrt_rational
+from jdist.exactnum import IntPointSet, QuadNum, sqrt_rational
 from jdist.families import Parameters, johnson_points
 from jdist.subjohnson import (
+    TWO_DISTANCE,
     combination_search,
     congruent,
     overlap_range,
@@ -173,6 +175,33 @@ def test_combination_mirror_closure():
             return tuple(sorted(out))
 
         assert all(mirrored(labels) in valid for labels in valid)
+
+
+@pytest.mark.parametrize("n", [5, 8, 10, 12, 17])
+def test_combination_search_agrees_with_every_pair(n):
+    # the search keys one point per family against the others; keying every
+    # pair gives the same intra-family flags and compatible family pairs
+    report = combination_search(n)
+    families = report.families
+    exact = IntPointSet([p for f in families for p in f.points()])
+    allowed = {exact.key_of(d) for d in TWO_DISTANCE}
+    starts = list(itertools.accumulate((f.size for f in families), initial=0))
+
+    def two_distance(i, j):
+        return all(
+            set(exact.row_keys(a, max(a + 1, starts[j]), starts[j + 1])) <= allowed
+            for a in range(starts[i], starts[i + 1])
+        )
+
+    count = len(families)
+    assert report.intra_valid == tuple(two_distance(i, i) for i in range(count))
+    usable = [i for i in range(count) if report.intra_valid[i]]
+    pairs = {
+        (families[i].label, families[j].label)
+        for i, j in itertools.combinations(usable, 2)
+        if two_distance(i, j)
+    }
+    assert {c.labels for c in report.combinations if len(c.labels) == 2} == pairs
 
 
 def test_combination_unions_verify():
