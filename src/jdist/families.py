@@ -481,7 +481,8 @@ def reduce_fully(fam: CandidateFamily) -> ReductionTrace:
         chain.append(reduce_step(chain[-1]))
     trace = ReductionTrace(tuple(chain))
     n, m = fam.params.n, fam.params.m
-    assert -m < trace.terminal_offset <= n - m
+    if not -m < trace.terminal_offset <= n - m:
+        raise AssertionError(f"{fam} reduces to offset {trace.terminal_offset}")
     return trace
 
 

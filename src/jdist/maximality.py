@@ -36,7 +36,7 @@ from .families import (
     addable_families,
     scaled_johnson_points,
 )
-from .spectra import cross_family_spectrum, johnson_family_spectrum
+from .spectra import Spectrum, cross_family_spectrum, johnson_family_spectrum
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_CAP = 10**5
@@ -54,11 +54,9 @@ class CandidateUniverse:
     the structure (and everything searched on it) is independent of input
     order.  ``conflicts[i]`` is the bitmask of vertices whose squared
     distance to vertex i lies outside the allowed set; it is 0 for a
-    universal vertex.  ``adjacency`` and ``points`` are derived on access.
+    universal vertex.  ``adjacency`` is derived on access.
     """
 
-    params: Parameters
-    families: tuple[CandidateFamily, ...]
     scaled: tuple[tuple[int, ...], ...]
     conflicts: tuple[int, ...]
 
@@ -67,18 +65,10 @@ class CandidateUniverse:
         return len(self.scaled)
 
     @cached_property
-    def points(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.params.n
-        return tuple(tuple(Fraction(c, n) for c in p) for p in self.scaled)
-
-    @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """Compatibility bitmasks: the complement of ``conflicts`` without loops."""
         full = (1 << self.size) - 1
         return tuple(full ^ mask ^ (1 << i) for i, mask in enumerate(self.conflicts))
-
-    def is_complete(self) -> bool:
-        return not any(self.conflicts)
 
     def index_of(self, scaled_point: tuple[int, ...]) -> int:
         return self._index[scaled_point]
@@ -126,6 +116,7 @@ class WitnessReport:
 class ClassificationReport:
     params: Parameters
     addable: tuple[CandidateFamily, ...]
+    johnson_spectra: tuple[Spectrum, ...]  # one per addable family
     incompatibilities: tuple[str, ...]
     added_count: int
     optimal: bool
@@ -151,8 +142,8 @@ class ClassificationReport:
             "m": self.params.m,
             "johnson_size": self.params.johnson_size,
             "addable_families": [
-                dict(f.to_json(), johnson_spectrum=johnson_family_spectrum(f).to_json())
-                for f in self.addable
+                dict(f.to_json(), johnson_spectrum=s.to_json())
+                for f, s in zip(self.addable, self.johnson_spectra)
             ],
             "universe_size": self.universe_size,
             "complete_compatibility": self.complete,
@@ -181,54 +172,64 @@ class ClassificationReport:
         return out
 
 
-def _check_johnson_spectra(families: Sequence[CandidateFamily], allowed: frozenset[int]) -> None:
-    """Raise unless every family keeps its distances to the Johnson points
-    inside ``allowed``: guaranteed by the addability filter, and everything
-    downstream relies on it."""
-    for fam in families:
-        if not johnson_family_spectrum(fam).within(allowed):
+def family_pass(
+    params: Parameters,
+) -> tuple[tuple[CandidateFamily, ...], tuple[Spectrum, ...], list[tuple[int, int]]]:
+    """The family-level facts of one instance, before any point is built.
+
+    Returns the addable families, their Johnson spectra and the index pairs
+    ``a <= b`` of families with a squared distance outside the allowed set.
+    Raises unless every Johnson spectrum stays inside the allowed set:
+    guaranteed by the addability filter, and everything downstream relies
+    on it.
+    """
+    allowed = params.allowed_sq_dists()
+    families = tuple(addable_families(params))
+    spectra = tuple(johnson_family_spectrum(fam) for fam in families)
+    for fam, spectrum in zip(families, spectra):
+        if not spectrum.within(allowed):
             raise AssertionError(f"addable family {fam} fails the Johnson spectrum check")
-
-
-def _conflicting_pairs(
-    families: Sequence[CandidateFamily], allowed: frozenset[int]
-) -> list[tuple[int, int]]:
-    """Index pairs ``a <= b`` of families with a squared distance outside ``allowed``."""
-    return [
+    pairs = [
         (a, b)
         for a, fam in enumerate(families)
         for b in range(a, len(families))
         if (a != b or fam.size > 1) and not cross_family_spectrum(fam, families[b]).within(allowed)
     ]
+    return families, spectra, pairs
 
 
-def build_universe(params: Parameters, cap: int = DEFAULT_CAP) -> CandidateUniverse:
-    """Materialize all addable candidate points and their conflict graph.
+def build_universe(
+    params: Parameters,
+    families: Sequence[CandidateFamily],
+    pairs: Iterable[tuple[int, int]],
+    cap: int = DEFAULT_CAP,
+) -> CandidateUniverse:
+    """Materialize the points of ``families`` and their conflict graph.
 
-    The conflicts are generated per orbit.  One representative ``p0`` of
-    each family with a conflicting partner family is tested against the
-    points of its partner families only.  For any other point ``p`` of the
+    ``families`` and ``pairs`` are the addable families and their
+    conflicting index pairs, as :func:`family_pass` returns them.  The
+    conflicts are generated per orbit.  One representative ``p0`` of each
+    family with a conflicting partner family is tested against the points
+    of its partner families only.  For any other point ``p`` of the
     orbit, the coordinate permutation sigma sending ``p0`` to ``p`` (both
     points' positions sorted by value) maps the neighbours of ``p0`` onto
     those of ``p``, since it preserves squared distances and every orbit.
     The edge count, the sum of orbit size times representative degree
     halved, is checked against ``cap`` before any edge is materialized.
     """
-    families = tuple(addable_families(params))
     total = sum(f.size for f in families)
     if total > cap:
         raise UniverseTooLarge(f"{total} candidate points exceed the cap {cap}")
 
-    allowed = params.allowed_sq_dists()
-    _check_johnson_spectra(families, allowed)
     partners: list[list[int]] = [[] for _ in families]
-    for a, b in _conflicting_pairs(families, allowed):
+    for a, b in pairs:
         partners[a].append(b)
         if a != b:
             partners[b].append(a)
     orbits = [tuple(fam.scaled_points()) for fam in families]
 
     n = params.n
+    allowed = params.allowed_sq_dists()
     harmless = {0} | {v * n * n for v in allowed}  # the point itself, or compatible
     near: dict[int, list[tuple[int, ...]]] = {}  # family -> conflicts of its first point
     twice_edges = 0
@@ -260,7 +261,7 @@ def build_universe(params: Parameters, cap: int = DEFAULT_CAP) -> CandidateUnive
             for q in neighbours:
                 mask |= 1 << index[image(q)]
             conflicts[index[p]] = mask
-    return CandidateUniverse(params, families, tuple(scaled), tuple(conflicts))
+    return CandidateUniverse(tuple(scaled), tuple(conflicts))
 
 
 def _greedy_clique(candidates: int, conflicts: Sequence[int]) -> list[int]:
@@ -347,7 +348,8 @@ def max_clique(
         seed = sorted(seed)
         for i, v in enumerate(seed):
             for u in seed[i + 1 :]:
-                assert u != v and not universe.conflicts[v] >> u & 1, "seed is not a clique"
+                if u == v or universe.conflicts[v] >> u & 1:
+                    raise AssertionError("seed is not a clique")
         if len(core_part(seed)) > len(best):
             best = core_part(seed)
 
@@ -500,10 +502,7 @@ def classify(
     ``cap`` degrades to spectrum-level reporting (the cardinality then only
     counts what is proven addable in full, flagged as non-optimal).
     """
-    allowed = params.allowed_sq_dists()
-    families = tuple(addable_families(params))
-    _check_johnson_spectra(families, allowed)
-    pairs = _conflicting_pairs(families, allowed)
+    families, spectra, pairs = family_pass(params)
     conflicts = tuple(
         f"intra k0={families[a].offset} k={families[a].counts}"
         if a == b
@@ -535,7 +534,7 @@ def classify(
                 "best known extension embedded as an explicit witness; maximality is open"
             )
         try:
-            universe = build_universe(params, cap)
+            universe = build_universe(params, families, pairs, cap)
         except UniverseTooLarge:
             # the largest self-compatible orbit; one vertex is always addable,
             # so the bound never collapses to zero
@@ -566,5 +565,5 @@ def classify(
                 )
 
     return ClassificationReport(
-        params, families, conflicts, added, optimal, structure, witness, tuple(notes)
+        params, families, spectra, conflicts, added, optimal, structure, witness, tuple(notes)
     )

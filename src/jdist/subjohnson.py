@@ -160,7 +160,8 @@ def solve_sub_families(n: int) -> list[SubFamily]:
     shapes = ((1, 0, 2), (2, 0, 4), (3, 1, 2), (4, n - 2, 2))
     for kind, k, first_target in shapes:
         overlaps = overlap_range(n, k)
-        assert len(overlaps) <= 2
+        if len(overlaps) > 2:
+            raise AssertionError(f"shape k={k} admits {len(overlaps)} overlaps")
         coeff_a = n * (n - 1)
         coeff_b = -2 * n * (n - k + 1)
         coeff_c = (n - k + 1) * (n - k + 2) + 2 * overlaps[0] - first_target
@@ -174,9 +175,10 @@ def solve_sub_families(n: int) -> list[SubFamily]:
             fam = SubFamily(n, k, kind, sign, a, b)
             targets = {first_target + 2 * (i - overlaps[0]) for i in overlaps}
             for i2 in overlaps:
-                got = sub_sq_dist(n, k, a, i2)
-                assert got == first_target + 2 * (i2 - overlaps[0])
-            assert targets <= {2, 4}
+                if sub_sq_dist(n, k, a, i2) != first_target + 2 * (i2 - overlaps[0]):
+                    raise AssertionError(f"{fam.label} misses its target at overlap {i2}")
+            if not targets <= {2, 4}:
+                raise AssertionError(f"{fam.label} targets {sorted(targets)}")
             out.append(fam)
     out.sort(key=lambda f: (f.kind, f.sign))
     return out
@@ -275,11 +277,13 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
 
     Backtracking match over exact squared-distance multisets: points can
     only map to points with identical distance profiles, and every placed
-    pair must preserve the distance to everything already placed.  Both
-    sets are keyed over one shared :class:`IntPointSet`; points are padded
-    with zero coordinates to the largest dimension, which changes no
-    distance.  Each distance matrix is keyed over its pairs ``i < j`` and
-    mirrored: one :meth:`IntPointSet.row_keys` row per point.
+    pair must preserve the distance to everything already placed.  The
+    search keeps its levels in a list, not in Python frames, so the
+    recursion limit does not bound the set size.  Both sets are keyed over
+    one shared :class:`IntPointSet`; points are padded with zero
+    coordinates to the largest dimension, which changes no distance.  Each
+    distance matrix is keyed over its pairs ``i < j`` and mirrored: one
+    :meth:`IntPointSet.row_keys` row per point.
     """
     if len(set_a) != len(set_b):
         return False
@@ -314,23 +318,24 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
 
     candidates = [[j for j in range(size) if sig_b[j] == sig_a[i]] for i in range(size)]
     order = sorted(range(size), key=lambda i: len(candidates[i]))
-    assigned: dict[int, int] = {}
+    assigned: dict[int, int] = {}  # placed points of set_a -> images, in placement order
     used: set[int] = set()
-
-    def backtrack(pos: int) -> bool:
-        if pos == size:
-            return True
+    tried = [0] * size  # candidates of order[pos] tried so far, per level
+    pos = 0
+    while pos < size:
         i = order[pos]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            if all(db[j][assigned[prev]] == da[i][prev] for prev in assigned):
+        for k in range(tried[pos], len(candidates[i])):
+            j = candidates[i][k]
+            if j not in used and all(db[j][assigned[prev]] == da[i][prev] for prev in assigned):
+                tried[pos] = k + 1
                 assigned[i] = j
                 used.add(j)
-                if backtrack(pos + 1):
-                    return True
-                del assigned[i]
-                used.remove(j)
-        return False
-
-    return backtrack(0)
+                pos += 1
+                break
+        else:  # no candidate left: take back the previous placement
+            if pos == 0:
+                return False
+            tried[pos] = 0
+            pos -= 1
+            used.remove(assigned.pop(order[pos]))
+    return True

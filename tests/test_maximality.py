@@ -1,11 +1,14 @@
 """Compatibility universes, clique search, classification, verification."""
 
 import dataclasses
+import os
 import random
+import subprocess
 import sys
 import time
 from array import array
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from jdist.maximality import (
     UniverseTooLarge,
     build_universe,
     classify,
+    family_pass,
     four_distance_witness_points,
     max_clique,
     maximal_clique_structure,
@@ -31,38 +35,44 @@ from jdist.maximality import (
 from jdist.numbertheory import max_extendable_n
 
 
+def universe_of(params, cap=maximality.DEFAULT_CAP):
+    """The universe of an instance, built from its family pass as ``classify`` does."""
+    families, _, pairs = family_pass(params)
+    return build_universe(params, families, pairs, cap)
+
+
 def test_build_universe_9_2_complete():
-    u = build_universe(Parameters(9, 2))
+    u = universe_of(Parameters(9, 2))
     assert u.size == 9
-    assert u.is_complete()
+    assert not any(u.conflicts)
 
 
 def test_build_universe_8_4_complete():
-    u = build_universe(Parameters(8, 4))
+    u = universe_of(Parameters(8, 4))
     assert u.size == 57
-    assert u.is_complete()
+    assert not any(u.conflicts)
 
 
 def test_build_universe_9_3_pair_structure():
-    u = build_universe(Parameters(9, 3))
+    u = universe_of(Parameters(9, 3))
     assert u.size == 73
-    center = tuple([F(1, 3)] * 9)
-    center_idx = u.points.index(center)
+    center = (3,) * 9  # (1/3, ..., 1/3), scaled by n
+    center_idx = u.scaled.index(center)
     full = (1 << u.size) - 1
     assert u.adjacency[center_idx] == full ^ (1 << center_idx)
     # every other vertex is incompatible with exactly its reflection
-    # through the center, at squared distance 8
+    # through the center, at squared distance 8 (8 * 9**2 scaled)
     pairs = 0
-    for i, p in enumerate(u.points):
+    for i, p in enumerate(u.scaled):
         if i == center_idx:
             continue
         partner = tuple(2 * a - b for a, b in zip(center, p))
         missing = full ^ u.adjacency[i] ^ (1 << i)
         assert missing.bit_count() == 1
         j = missing.bit_length() - 1
-        assert u.points[j] == partner
+        assert u.scaled[j] == partner
         d = sum((a - b) ** 2 for a, b in zip(p, partner))
-        assert d == 8
+        assert d == 8 * 81
         pairs += 1
     assert pairs == 72
 
@@ -72,7 +82,7 @@ def _lanes(values):
     return int.from_bytes(array("I", values).tobytes(), sys.byteorder)
 
 
-def brute_force_conflicts(universe):
+def brute_force_conflicts(universe, params):
     """Conflict masks from the squared distance of every vertex pair, with
     no use of the orbits.
 
@@ -81,8 +91,8 @@ def brute_force_conflicts(universe):
     coordinate column is packed into 32-bit lanes, and since every lane's
     value lies in [0, 2**32) the packed sum reads back lane by lane.
     """
-    n = universe.params.n
-    harmless = {0} | {v * n * n for v in universe.params.allowed_sq_dists()}
+    n = params.n
+    harmless = {0} | {v * n * n for v in params.allowed_sq_dists()}
     low = min((min(p) for p in universe.scaled), default=0)
     points = [[c - low for c in p] for p in universe.scaled]
     norms = [sum(c * c for c in p) for p in points]
@@ -116,19 +126,20 @@ def test_orbit_built_conflicts_match_all_pairs():
     instances = list(small_instances())
     assert {(9, 3), (9, 4), (18, 5), (27, 6)} <= set(instances)
     for n, m in instances:
-        u = build_universe(Parameters(n, m))
-        assert u.conflicts == brute_force_conflicts(u), (n, m)
+        u = universe_of(Parameters(n, m))
+        assert u.conflicts == brute_force_conflicts(u, Parameters(n, m)), (n, m)
 
     # the oracle itself, against the plain squared distance on (9, 4)
-    u = build_universe(Parameters(9, 4))
-    conflicts = brute_force_conflicts(u)
+    families, _, pairs = family_pass(Parameters(9, 4))
+    u = build_universe(Parameters(9, 4), families, pairs, maximality.DEFAULT_CAP)
+    conflicts = brute_force_conflicts(u, Parameters(9, 4))
     for i, p in enumerate(u.scaled):
         for j, q in enumerate(u.scaled):
             d = sum((a - b) ** 2 for a, b in zip(p, q))
             assert (conflicts[i] >> j & 1) == (d not in {0, 162, 324, 486, 648}), (i, j)
 
     # (9, 4) conflicts inside the 252-point orbit and across to the deep orbit
-    family_of = {p: fam.counts for fam in u.families for p in fam.scaled_points()}
+    family_of = {p: fam.counts for fam in families for p in fam.scaled_points()}
     kinds = set()
     for i, mask in enumerate(u.conflicts):
         for j in range(u.size):
@@ -145,8 +156,8 @@ def test_orbit_built_conflicts_match_all_pairs():
 def test_universe_caps_conflict_edges():
     # n = 9, m = 4: 306 points and 2,016 conflict edges
     with pytest.raises(UniverseTooLarge, match="2016 conflict edges exceed the cap 2015"):
-        build_universe(Parameters(9, 4), cap=2015)
-    assert build_universe(Parameters(9, 4), cap=2016).size == 306
+        universe_of(Parameters(9, 4), cap=2015)
+    assert universe_of(Parameters(9, 4), cap=2016).size == 306
 
 
 def test_classify_reports_over_the_edge_cap_quickly():
@@ -175,7 +186,7 @@ def test_classify_32_7_is_a_perfect_matching():
 
 def test_universe_cap():
     with pytest.raises(UniverseTooLarge):
-        build_universe(Parameters(9, 3), cap=10)
+        universe_of(Parameters(9, 3), cap=10)
 
 
 def test_classify_degrades_above_cap():
@@ -190,32 +201,42 @@ def test_classify_degrades_above_cap():
 
 
 def test_classify_computes_each_family_spectrum_once(monkeypatch):
-    calls = {"cross": 0, "johnson": 0}
+    calls = {"addable": 0, "cross": 0, "johnson": 0}
 
-    def counted(name, spectrum):
+    def counted(name, function):
         def call(*args):
             calls[name] += 1
-            return spectrum(*args)
+            return function(*args)
 
         return call
 
-    for name in ("cross", "johnson"):
-        attr = f"{name}_family_spectrum"
+    for name, attr in (
+        ("addable", "addable_families"),
+        ("cross", "cross_family_spectrum"),
+        ("johnson", "johnson_family_spectrum"),
+    ):
         monkeypatch.setattr(maximality, attr, counted(name, getattr(maximality, attr)))
-    # over the point cap, over the edge cap, over the edge cap with one
-    # single-point family: the cap fallback reuses the family pairs
+    # over the point cap, over the edge cap, within both caps, over the edge
+    # cap with one single-point family: one family pass serves the cap
+    # fallback, the universe build and the JSON report
     for params, cap, cross, johnson in (
         (Parameters(9, 4), 100, 10, 4),
-        (Parameters(9, 4), 2015, 20, 8),
-        (Parameters(18, 6), maximality.DEFAULT_CAP, 10, 6),
+        (Parameters(9, 4), 2015, 10, 4),
+        (Parameters(9, 4), maximality.DEFAULT_CAP, 10, 4),
+        (Parameters(9, 3), maximality.DEFAULT_CAP, 2, 2),
+        (Parameters(32, 7), maximality.DEFAULT_CAP, 6, 3),
+        (Parameters(18, 6), maximality.DEFAULT_CAP, 5, 3),
     ):
-        calls.update(cross=0, johnson=0)
-        classify(params, budget=0, cap=cap)
-        assert calls == {"cross": cross, "johnson": johnson}, (params, cap)
+        calls.update(addable=0, cross=0, johnson=0)
+        report = classify(params, budget=0, cap=cap)
+        expected = {"addable": 1, "cross": cross, "johnson": johnson}
+        assert calls == expected, (params, cap)
+        report.to_json()
+        assert calls == expected, (params, cap, "to_json")
 
 
 def test_max_clique_small():
-    u = build_universe(Parameters(9, 2))
+    u = universe_of(Parameters(9, 2))
     result = max_clique(u)
     assert result.size == 9 and result.optimal
 
@@ -224,7 +245,7 @@ def test_max_clique_small():
 
 
 def test_max_clique_9_3():
-    u = build_universe(Parameters(9, 3))
+    u = universe_of(Parameters(9, 3))
     result = max_clique(u)
     assert result.size == 37 and result.optimal
     assert max_clique(u) == result  # deterministic
@@ -236,11 +257,11 @@ def test_max_clique_9_3():
     assert structure.method == "complement-matching"
 
     # (9, 4) has vertices with several conflicts: no structure is claimed
-    assert maximal_clique_structure(build_universe(Parameters(9, 4))) is None
+    assert maximal_clique_structure(universe_of(Parameters(9, 4))) is None
 
 
 def test_max_clique_invariant_under_relabelling():
-    u = build_universe(Parameters(9, 3))
+    u = universe_of(Parameters(9, 3))
     rng = random.Random(11)
     perm = list(range(u.size))
     rng.shuffle(perm)
@@ -263,8 +284,6 @@ def graph_universe(masks):
     size = len(masks)
     full = (1 << size) - 1
     return CandidateUniverse(
-        Parameters(4, 2),
-        (),
         tuple((i,) for i in range(size)),
         tuple(full ^ mask ^ (1 << i) for i, mask in enumerate(masks)),
     )
@@ -373,11 +392,32 @@ def test_max_clique_rejects_a_seed_that_is_not_a_clique():
         max_clique(graph_universe([0, 0, 0]), seed=[0, 1])
 
 
+def test_seed_check_survives_optimized_mode():
+    # under -O an assert statement is stripped, and the bad seed would come
+    # back as the clique (0, 1, 2), reported optimal
+    script = (
+        "from jdist.maximality import CandidateUniverse, max_clique\n"
+        "universe = CandidateUniverse(((0,), (1,), (2,)), (0b010, 0b001, 0))\n"
+        "print(max_clique(universe, seed=[0, 1]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 1, done.stdout
+    assert "AssertionError: seed is not a clique" in done.stderr
+
+
 def test_max_clique_9_4_witness_seed_speed():
     # regression guard on the open case: 100,000 expansions from the
     # 258-point witness took about 10 s with a recoloring at every node
     params = Parameters(9, 4)
-    u = build_universe(params)
+    u = universe_of(params)
     johnson = set(scaled_johnson_points(params))
     scaled = (tuple(int(c * 9) for c in p) for p in four_distance_witness_points())
     seed = [u.index_of(p) for p in scaled if p not in johnson]
@@ -507,10 +547,10 @@ def test_reported_sets_recheck():
 
     # the searched case: the found clique joined to the Johnson points is a
     # genuine three-distance set of the reported cardinality
-    u = build_universe(Parameters(9, 3))
+    u = universe_of(Parameters(9, 3))
     result = max_clique(u)
     pts = list(johnson_points(Parameters(9, 3)))
-    pts.extend(u.points[v] for v in result.vertices)
+    pts.extend(tuple(F(c, 9) for c in u.scaled[v]) for v in result.vertices)
     ok, spectrum = verify_point_set(pts, 3, johnson=True)
     assert ok and len(pts) == 121
     assert spectrum == (2, 4, 6)

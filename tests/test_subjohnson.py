@@ -1,7 +1,9 @@
 """Fixed-last-axis setting: solved families, combinations, congruence."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -245,6 +247,17 @@ def test_congruent_examples():
 def test_congruent_n5_bridge():
     assert congruent(union_points(5, ["S3+"]), union_points(5, ["S4+"]))
     assert congruent(union_points(5, ["S3-"]), union_points(5, ["S4-"]))
+
+
+def test_congruent_depth_is_not_bounded_by_the_recursion_limit():
+    # one Python frame per matched point would overflow 200 frames of headroom
+    points = list(itertools.islice(johnson_points(Parameters(30, 2)), 400))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        assert congruent(points, points[::-1])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def sub2_unions(n):
