@@ -18,20 +18,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import subjohnson
-from .exactnum import parse_quad
+from .exactnum import format_ratio, parse_quad
 from .families import (
     Parameters,
     addable_families,
     enumerate_families,
     family_counts,
-    is_addable,
-    max_sq_dist,
+    peak_is_addable,
+    scaled_peak,
 )
 from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, classify, verify_point_set
 from .numbertheory import is_extendable, max_extendable_n, special_factor
@@ -80,11 +83,15 @@ SUB2_EXPECTED = {
 
 @dataclass
 class Report:
-    """One subcommand's report, shaped for each output format."""
+    """One subcommand's report, shaped for each output format.
+
+    ``rows`` and ``lines`` may be generators: :func:`run` consumes only the
+    one its format writes, once.
+    """
 
     results: dict  # the JSON body
-    rows: list  # the CSV table, header first
-    lines: list  # the text report
+    rows: Iterable  # the CSV table, header first
+    lines: Iterable  # the text report
     code: int = 0  # the exit code
 
 
@@ -131,20 +138,29 @@ def _cmd_families(config: argparse.Namespace) -> Report:
                 "raise --cap or pass --addable"
             )
         families = enumerate_families(params)
-    entries = [
-        dict(fam.to_json(), addable=is_addable(fam), peak_sq_dist=str(max_sq_dist(fam)))
-        for fam in families
-    ]
-    results = {"n": config.n, "m": config.m, "count": len(entries), "families": entries}
-    lines = [f"families for n={config.n}, m={config.m}: {len(entries)}"]
-    for e in entries:
-        lines.append(
+    n, m = config.n, config.m
+    entries = []
+    for fam in families:
+        entry = fam.to_json()
+        peak = scaled_peak(fam)
+        entry["addable"] = peak_is_addable(fam, peak)
+        entry["peak_sq_dist"] = format_ratio(peak, n)
+        entries.append(entry)
+    results = {"n": n, "m": m, "count": len(entries), "families": entries}
+    lines = itertools.chain(
+        [f"families for n={n}, m={m}: {len(entries)}"],
+        (
             f"  k0={e['k0']:>4}  k={tuple(e['k'])!s:<20} size={e['size']:>8} "
             f"addable={_flag(e['addable']):<5} peak={e['peak_sq_dist']}"
-        )
-    rows = _records(
-        ("n", "m", "k0", "k", "size", "addable", "peak_sq_dist"),
-        [dict(e, k=" ".join(map(str, e["k"]))) for e in entries],
+            for e in entries
+        ),
+    )
+    rows = itertools.chain(
+        [("n", "m", "k0", "k", "size", "addable", "peak_sq_dist")],
+        (
+            (n, m, e["k0"], " ".join(map(str, e["k"])), e["size"], e["addable"], e["peak_sq_dist"])
+            for e in entries
+        ),
     )
     return Report(results, rows, lines)
 
@@ -411,7 +427,9 @@ def _int_bounded(low: int | None = None, high: int | None = None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``jdist`` parser, built on first use and shared by every later call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", help="write the report to a file instead of stdout")

@@ -489,6 +489,18 @@ def format_rational(value: object) -> str:
     return str(_rational(value))
 
 
+def format_ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for integers, without building the Fraction."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 

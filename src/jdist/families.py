@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import squarefree_decompose
+from .exactnum import format_ratio, squarefree_decompose
 
 Profile = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -94,7 +94,7 @@ class CandidateFamily:
     @property
     def levels(self) -> tuple[Fraction, ...]:
         n = self.params.n
-        return tuple(Fraction((2 - j) * n - self.offset, n) for j in range(1, len(self.counts) + 1))
+        return tuple(Fraction(v, n) for v in self.scaled_levels())
 
     def scaled_levels(self) -> tuple[int, ...]:
         """Level values times n; always integers."""
@@ -126,7 +126,7 @@ class CandidateFamily:
             "k0": self.offset,
             "k": list(self.counts),
             "size": self.size,
-            "levels": [str(v) for v in self.levels],
+            "levels": [format_ratio(v, self.params.n) for v in self.scaled_levels()],
         }
 
     def __str__(self) -> str:
@@ -329,9 +329,22 @@ def max_profile(fam: CandidateFamily) -> Profile:
     return tuple(profile)
 
 
+def scaled_peak(fam: CandidateFamily) -> int:
+    """n times the peak squared distance, at the :func:`max_profile` weight."""
+    return scaled_base(fam) + 2 * _greedy_weight(fam.counts, fam.params.m) * fam.params.n
+
+
 def max_sq_dist(fam: CandidateFamily) -> Fraction:
     """Peak squared distance between the Johnson points and the family."""
-    return profile_sq_dist(fam, max_profile(fam))
+    return Fraction(scaled_peak(fam), fam.params.n)
+
+
+def peak_is_addable(fam: CandidateFamily, scaled: int) -> bool:
+    """:func:`is_addable` given ``scaled = scaled_peak(fam)``."""
+    if fam.is_johnson_pattern():
+        return False
+    peak, rest = divmod(scaled, fam.params.n)
+    return rest == 0 and peak % 2 == 0 and peak <= 2 * fam.params.m
 
 
 def is_addable(fam: CandidateFamily) -> bool:
@@ -341,14 +354,7 @@ def is_addable(fam: CandidateFamily) -> bool:
     integers, so the whole orbit is compatible exactly when the peak is an
     even integer at most 2m.  The Johnson pattern itself is never addable.
     """
-    if fam.is_johnson_pattern():
-        return False
-    n, m = fam.params.n, fam.params.m
-    scaled = scaled_base(fam) + 2 * _greedy_weight(fam.counts, m) * n
-    if scaled % n:
-        return False
-    peak = scaled // n
-    return peak % 2 == 0 and peak <= 2 * m
+    return peak_is_addable(fam, scaled_peak(fam))
 
 
 def _addable_candidates(params: Parameters) -> Iterator[CandidateFamily]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from jdist.cli import SUB2_EXPECTED, TABLES_EXPECTED, config_from_args, main, run
+from jdist.cli import (
+    SUB2_EXPECTED,
+    TABLES_EXPECTED,
+    build_parser,
+    config_from_args,
+    main,
+    run,
+)
+from jdist.families import Parameters, enumerate_families, max_sq_dist
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "docs" / "report_schema.json"
@@ -51,6 +60,21 @@ def test_families_command_addable():
     assert rows[0]["k0"] == 6 and rows[0]["k"] == [8, 1]
     assert rows[0]["levels"] == ["1/3", "-2/3"]
     assert rows[0]["size"] == 9
+
+
+def test_families_listing_peak_is_fraction_text():
+    # the listing prints each peak from its scaled integer
+    for n in range(2, 17):
+        for m in range(1, min(5, n // 2) + 1):
+            code, out = invoke("families", str(n), str(m), "--format", "json")
+            assert code == 0
+            listed = json.loads(out)["results"]["families"]
+            fams = list(enumerate_families(Parameters(n, m)))
+            assert [(e["k0"], tuple(e["k"])) for e in listed] == [
+                (f.offset, f.counts) for f in fams
+            ]
+            for f, e in zip(fams, listed):
+                assert e["peak_sq_dist"] == str(max_sq_dist(f)), (n, m, f.counts)
 
 
 def test_classify_command_csv():
@@ -257,6 +281,34 @@ def test_entry_point_and_invalid_args():
             config_from_args(argv)
         assert exc.value.code == 2, argv
     assert config_from_args(["classify", "9", "4", "--budget", "0"]).budget == 0
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # one parser serves every call in a process; a usage error or --help
+    # between calls must leave each output as a fresh process writes it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    for argv in (
+        ["families", "9", "3"],
+        ["families", "9", "x"],
+        ["classify", "9", "3", "--format", "csv"],
+        ["--help"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "jdist.cli", *argv],
+            capture_output=True,
+            cwd=ROOT,
+            env=os.environ,
+        )
+        got = (code, captured.out.encode("utf-8"), captured.err.encode("utf-8"))
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is build_parser()
+    first, second = config_from_args(["n0", "18"]), config_from_args(["n0", "18"])
+    assert first is not second and first == second
 
 
 def test_tables_reference_row_not_reached(monkeypatch):

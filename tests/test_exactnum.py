@@ -13,6 +13,7 @@ from jdist.exactnum import (
     NegativeRadicand,
     QuadNum,
     format_quad,
+    format_ratio,
     format_rational,
     parse_quad,
     parse_rational,
@@ -123,6 +124,18 @@ def test_rational_serialization_round_trip():
         assert parse_rational(text) == value
         if value.denominator == 1:
             assert "/" not in text
+
+
+def test_format_ratio_is_fraction_text():
+    rng = random.Random(2012)
+    for den in range(1, 201):
+        nums = [0, 1, -1, den, -den, 7 * den, 10**30 + 1]
+        nums += [rng.randint(-(10**6), 10**6) for _ in range(20)]
+        for num in nums:
+            assert format_ratio(num, den) == str(F(num, den)), (num, den)
+            assert format_ratio(num, -den) == str(F(num, -den)), (num, -den)
+    with pytest.raises(ZeroDivisionError):
+        format_ratio(1, 0)
 
 
 def test_quad_serialization_round_trip():

@@ -22,12 +22,14 @@ from jdist.families import (
     johnson_points,
     max_profile,
     max_sq_dist,
+    peak_is_addable,
     profile_sq_dist,
     profile_weight_drop,
     profile_weight_drop_case_rule,
     profile_weight_drop_printed,
     reduce_fully,
     reduce_step,
+    scaled_peak,
 )
 
 
@@ -168,6 +170,34 @@ def test_is_addable_examples():
     assert not is_addable(CandidateFamily(Parameters(9, 2), 0, (2, 7)))
     for f in enumerate_families(Parameters(8, 2)):
         assert not is_addable(f)
+
+
+def small_sizes():
+    """Every (n, m) with n <= 16, m <= 5 and n >= 2m."""
+    return [(n, m) for n in range(2, 17) for m in range(1, min(5, n // 2) + 1)]
+
+
+def test_json_levels_are_fraction_text():
+    # to_json formats the scaled integer levels without building Fractions
+    for n, m in small_sizes():
+        for f in enumerate_families(Parameters(n, m)):
+            assert f.to_json()["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
+
+
+def test_is_addable_is_the_scaled_peak_rule():
+    # the peak of the max profile, scaled by n, decides addability: an even
+    # integer at most 2m, never for the Johnson pattern
+    for n, m in small_sizes():
+        params = Parameters(n, m)
+        # the Johnson pattern has two levels, so it is a family for m >= 2 only
+        pattern = CandidateFamily(params, 0, (m, n - m)) if m >= 2 else None
+        for f in itertools.chain(enumerate_families(params), [pattern] if pattern else []):
+            peak = profile_sq_dist(f, max_profile(f))
+            assert scaled_peak(f) == peak * n and max_sq_dist(f) == peak
+            rule = (
+                f is not pattern and peak.denominator == 1 and peak % 2 == 0 and peak <= 2 * m
+            )
+            assert is_addable(f) == peak_is_addable(f, scaled_peak(f)) == rule, (n, m, f.counts)
 
 
 def test_addable_families_matches_enumeration():

@@ -1,5 +1,7 @@
 """Byte-for-byte reports: every format of a set of CLI runs against files in golden/."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,15 @@ def test_report_bytes(stem, argv, code, fmt, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / f"{stem}.{SUFFIX[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+def test_largest_listing_digest(fmt, capsys):
+    # families 25 4 is the benchmark's heaviest report (979 KB as JSON), so
+    # its bytes are pinned by length and sha256 rather than by a file
+    digests = json.loads((GOLDEN / "families_25_4.digest.json").read_text(encoding="utf-8"))
+    assert main(["families", "25", "4", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = captured.out.encode("utf-8")
+    assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == digests[fmt]
