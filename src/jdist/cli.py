@@ -41,10 +41,6 @@ from .numbertheory import is_extendable, max_extendable_n, special_factor
 
 TABLE_SEARCH_BUDGET = 20_000
 
-# Largest n that ``sub2`` accepts: its exact pair checks take a few
-# seconds at n = 200 and about 12 s at n = 300.
-SUB2_MAX_N = 200
-
 # Reference classification tables: n -> (added, total, status kind).  The
 # n = 9, m = 4 maximum is open; its row carries the best known witness.
 TABLES_EXPECTED = {
@@ -309,7 +305,8 @@ def _cmd_corollary(config: argparse.Namespace) -> Report:
     entries = []
     for m in range(2, config.m_max + 1):
         closed = max_extendable_n(m)
-        scan_max = max((n for n in range(2 * m, closed + 51) if is_extendable(n, m)), default=None)
+        scan = range(closed + 50, 2 * m - 1, -1)  # downward: the first hit is the largest
+        scan_max = next((n for n in scan if is_extendable(n, m)), None)
         status = "PASS" if scan_max == closed else "FAIL"
         entries.append({"m": m, "closed_form": closed, "scan_max": scan_max, "status": status})
     rows = _records(("m", "closed_form", "scan_max", "status"), entries)
@@ -337,7 +334,7 @@ def _read_points(path: str) -> list[tuple]:
 def _cmd_verify(config: argparse.Namespace) -> Report | None:
     try:
         points = _read_points(config.file)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read point set: {exc}", file=sys.stderr)
         return None
     ok, spectrum = verify_point_set(points, config.m, johnson=config.johnson)
@@ -474,10 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sub2", parents=[common], help="two-distance extensions with a fixed last axis"
     )
     # n < 5 is left to solve_sub_families, which reports it as an error line
-    p.add_argument("n", type=_int_bounded(high=SUB2_MAX_N))
+    p.add_argument("n", type=int)
 
     p = sub.add_parser("corollary", parents=[common], help="largest extendable n for each m")
-    p.add_argument("m_max", type=_int_bounded(2))
+    p.add_argument("m_max", type=_int_bounded(2, 1000))
 
     p = sub.add_parser("verify", parents=[common], help="verify a point set from a JSON file")
     p.add_argument("file")

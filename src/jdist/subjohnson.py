@@ -16,10 +16,10 @@ solving the resulting quadratics exactly produces at most eight families
 non-negative discriminant 4n(10-n), hence n <= 10, with the two branches
 merging at n = 10.
 
-Everything downstream (which unions of families stay two-distance, which
-unions are congruent) is decided by exact arithmetic on the materialized
-orbits; printed reference values are regression expectations, never
-inputs.
+Which unions of families stay two-distance is decided per family from
+the overlap of upper slots (:func:`combination_search`), which unions are
+congruent by exact arithmetic on the materialized orbits; printed
+reference values are regression expectations, never inputs.
 """
 
 from __future__ import annotations
@@ -215,27 +215,28 @@ def combination_search(n: int) -> CombinationReport:
     cross-family validity (the Johnson side is two-distance by
     construction); subsets are enumerated exhaustively over at most eight
     families and flagged maximal when no further family fits.
+
+    Both are decided per family, no orbit materialized: for p in a family
+    with upper slots S, |S| = k, and q with S', |S'| = k', ``<p, q> =
+    (n-1)(a-1)(a'-1) + k(a'-1) + k'(a-1) + bb' + |S & S'|``.  Norms are
+    constant on an orbit, so ``|p - q|^2 = C - 2|S & S'|`` over the overlaps
+    ``max(0, k + k' - (n-1)) .. min(k, k')``.  The first points of two
+    families overlap in min(k, k') slots: their squared distance, the one
+    pair keyed, starts that progression.  Two points of one family at overlap
+    t differ by 1 on 2(k - t) coordinates: 2, 4, ..., 2 min(k, n-1-k).
     """
     families = solve_sub_families(n)
-    exact = IntPointSet([p for f in families for p in f.points()])
-    allowed = {exact.key_of(d) for d in TWO_DISTANCE}
-    blocks = []  # each family's run of point indices
-    start = 0
-    for f in families:
-        blocks.append(range(start, start + f.size))
-        start += f.size
-    count = len(families)
+    allowed = set(TWO_DISTANCE)
+    intra = tuple(allowed.issuperset(range(2, 2 * min(f.k, n - f.k - 1) + 1, 2)) for f in families)
+    usable = [i for i, ok in enumerate(intra) if ok]
+    exact = IntPointSet([(f.a,) * f.k + (f.a - 1,) * (n - f.k - 1) + (f.b,) for f in families])
 
-    # each family is one orbit of the permutations of the first n - 1 axes,
-    # isometries that map every family onto itself; so the distances within
-    # a family, or from it to another family, are those of its first point
     def two_distance(i: int, j: int) -> bool:
-        first = blocks[i].start
-        others = range(first + 1, blocks[i].stop) if i == j else blocks[j]
-        return allowed.issuperset(exact.row_keys(first, others.start, others.stop))
+        k, k2 = families[i].k, families[j].k
+        steps = range(min(k, k2) - max(0, k + k2 - n + 1) + 1)
+        starts = [d for d in TWO_DISTANCE if allowed.issuperset(d + 2 * s for s in steps)]
+        return exact.value_of(exact.row_keys(i, j, j + 1)[0]) in starts
 
-    intra = tuple(two_distance(i, i) for i in range(count))
-    usable = [i for i in range(count) if intra[i]]
     compatible = {(i, j): two_distance(i, j) for i, j in itertools.combinations(usable, 2)}
 
     combos = []

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from jdist.cli import (
     run,
 )
 from jdist.families import Parameters, enumerate_families, max_sq_dist
+from jdist.numbertheory import is_extendable, max_extendable_n
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "docs" / "report_schema.json"
@@ -150,6 +152,22 @@ def test_corollary_command():
     ]
 
 
+def test_corollary_downward_scan_matches_upward_reference():
+    # the largest extendable n is the first hit scanning down from the
+    # closed form + 50; scanning every n upward gives the same rows
+    code, out = invoke("corollary", "40", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    expected = []
+    for m in range(2, 41):
+        closed = max_extendable_n(m)
+        hits = [n for n in range(2 * m, closed + 51) if is_extendable(n, m)]
+        scan_max = max(hits) if hits else None
+        status = "PASS" if scan_max == closed else "FAIL"
+        expected.append({"m": m, "closed_form": closed, "scan_max": scan_max, "status": status})
+    assert rows == expected
+
+
 def test_sub2_flags():
     code, out = invoke("sub2", "9", "--format", "json")
     assert code == 0
@@ -195,6 +213,7 @@ def test_verify_command(tmp_path, capsys):
         "[[true, false], [false, true]]",
         '[["1/0", "0"]]',
         huge_radicand,
+        "[" * 100_000,  # nested past the recursion limit of the JSON decoder
     ):
         path.write_text(bad, encoding="utf-8")
         code, out = invoke("verify", str(path), "--m", "2")
@@ -275,6 +294,7 @@ def test_entry_point_and_invalid_args():
         ["verify", "points.json", "--m", "-3"],
         ["corollary", "1"],
         ["corollary", "-2"],
+        ["corollary", "1001"],
         ["n0", "18", "--budget", "many"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -360,17 +380,25 @@ def test_families_listing_is_capped():
         invoke("families", "25", "4", "--cap", "2923")
 
 
-def test_sub2_upper_bound(capsys):
-    # refused at parse time, before any family is solved
+def test_sub2_large_n_up_to_the_factorization_bound(capsys):
+    # families are decided with no orbit built, so n is bounded only by the
+    # factorization of the discriminants
+    for n in (201, 10000):
+        code, out = invoke("sub2", str(n))
+        assert code == 0, n
+        assert f"  johnson points: {math.comb(n - 1, 2)}" in out.splitlines(), n
+
     start = time.perf_counter()
-    with pytest.raises(SystemExit) as exc:
-        main(["sub2", "201"])
-    assert time.perf_counter() - start < 0.5
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "jdist sub2: error: argument n: must be at most 200, got 201"
+    proc = subprocess.run(
+        [sys.executable, "-m", "jdist.cli", "sub2", "353553"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
     )
-    assert config_from_args(["sub2", "200"]).n == 200
+    assert time.perf_counter() - start < 0.5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "factorization bound" in proc.stderr
     # below 5 is still an error line from the solver, not a usage error
     assert main(["sub2", "4"]) == 2
     assert capsys.readouterr().err == "error: need n >= 5, got 4\n"

@@ -12,6 +12,7 @@ from jdist.exactnum import IntPointSet, QuadNum, sqrt_rational
 from jdist.families import Parameters, johnson_points
 from jdist.subjohnson import (
     TWO_DISTANCE,
+    SubFamily,
     combination_search,
     congruent,
     overlap_range,
@@ -179,10 +180,12 @@ def test_combination_mirror_closure():
         assert all(mirrored(labels) in valid for labels in valid)
 
 
-@pytest.mark.parametrize("n", [5, 8, 10, 12, 17])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12, 17, 30, 64])
 def test_combination_search_agrees_with_every_pair(n):
-    # the search keys one point per family against the others; keying every
-    # pair gives the same intra-family flags and compatible family pairs
+    # the search decides from one keyed pair per family pair and the overlap
+    # identity; keying every pair of the materialized orbits gives the same
+    # intra-family flags and compatible family pairs (kind 4 exists only for
+    # n <= 10, with its branches merged at n = 10)
     report = combination_search(n)
     families = report.families
     exact = IntPointSet([p for f in families for p in f.points()])
@@ -204,6 +207,19 @@ def test_combination_search_agrees_with_every_pair(n):
         if two_distance(i, j)
     }
     assert {c.labels for c in report.combinations if len(c.labels) == 2} == pairs
+
+
+def test_combination_search_materializes_no_orbit(monkeypatch, capsys):
+    from jdist.cli import main
+
+    def refuse(self):
+        raise AssertionError(f"{self.label} materialized")
+
+    expected = combination_search(17)
+    monkeypatch.setattr(SubFamily, "points", refuse)
+    assert combination_search(17) == expected
+    assert main(["sub2", "17"]) == 0
+    assert "S1+ + S2-: [122]  PASS" in capsys.readouterr().out
 
 
 def test_combination_unions_verify():
