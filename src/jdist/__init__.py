@@ -5,7 +5,6 @@ from .exactnum import (
     NegativeDiscriminant,
     NegativeRadicand,
     QuadNum,
-    Rational,
     format_quad,
     parse_quad,
     solve_quadratic,
@@ -35,10 +34,8 @@ from .maximality import (
     verify_point_set,
 )
 from .numbertheory import (
-    Factorization,
     RangeError,
     extension_family,
-    factorize,
     is_extendable,
     max_extendable_n,
     parity_check,

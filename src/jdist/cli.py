@@ -216,11 +216,10 @@ def _table_status(report, expected) -> str:
 def _cmd_tables(config: argparse.Namespace) -> Report:
     m = config.m
     expected = TABLES_EXPECTED[m]
-    budget = min(config.budget, TABLE_SEARCH_BUDGET)
     ns = [n for n in range(2 * m, max_extendable_n(m) + 1) if is_extendable(n, m)]
     entries = []
     for n in ns + [n for n in expected if n not in ns]:
-        report = classify(Parameters(n, m), budget=budget, cap=config.cap) if n in ns else None
+        report = classify(Parameters(n, m), budget=TABLE_SEARCH_BUDGET) if n in ns else None
         entries.append(
             {
                 "n": n,
@@ -398,12 +397,10 @@ def run(config: argparse.Namespace, stream=None) -> int:
 
 def _public_arguments(config: argparse.Namespace) -> dict:
     args = {}
-    for key in ("n", "m", "m_max", "file", "johnson", "addable_only"):
+    for key in ("n", "m", "m_max", "file", "johnson", "addable_only", "budget", "cap"):
         value = getattr(config, key, None)
-        if value not in (None, False):
+        if value is not None and value is not False:  # not "in (None, False)": 0 == False
             args[key] = value
-    args["budget"] = config.budget
-    args["cap"] = config.cap
     args["format"] = config.fmt
     return args
 
@@ -430,16 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", help="write the report to a file instead of stdout")
-    common.add_argument(
-        "--budget", type=_int_bounded(0), default=DEFAULT_BUDGET, help="clique search node budget"
-    )
-    common.add_argument(
-        "--cap",
-        type=_int_bounded(0),
-        default=DEFAULT_CAP,
-        help="cap on the candidate points and on the conflict edges materialized, "
-        "and on the families that families lists without --addable",
-    )
 
     parser = argparse.ArgumentParser(
         prog="jdist",
@@ -459,10 +446,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--addable", dest="addable_only", action="store_true")
+    p.add_argument(
+        "--cap",
+        type=_int_bounded(0),
+        default=DEFAULT_CAP,
+        help="cap on the families listed without --addable",
+    )
 
     p = sub.add_parser("classify", parents=[common], help="classify maximal extensions")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
+    p.add_argument(
+        "--budget", type=_int_bounded(0), default=DEFAULT_BUDGET, help="clique search node budget"
+    )
+    p.add_argument(
+        "--cap",
+        type=_int_bounded(0),
+        default=DEFAULT_CAP,
+        help="cap on the candidate points and on the conflict edges materialized",
+    )
 
     p = sub.add_parser("tables", parents=[common], help="reproduce a whole classification table")
     p.add_argument("--m", type=int, required=True, choices=(2, 3, 4, 5))

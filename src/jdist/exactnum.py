@@ -25,8 +25,6 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "QuadNum"]
 
 
@@ -360,12 +358,6 @@ class IntPointSet:
         size = len(self.radicands) * dim
         self._layouts = tuple(_layout(products, dim, size) for _, products in self._plan)
         self._forms = tuple(_gram_forms(layout, self.vectors) for layout in self._layouts)
-
-    def sq_dist_key(self, p: tuple[int, ...], q: tuple[int, ...]) -> Key:
-        """Key of the squared distance between two of :attr:`vectors`."""
-        forms = [_gram_forms(layout, (p, q)) for layout in self._layouts]
-        (raw,) = _gram_row(forms, 0, 1, 2)
-        return self._key(raw)
 
     def row_keys(self, a: int, start: int, stop: int) -> list[Key]:
         """Keys of point ``a`` against points ``start, ..., stop - 1``."""

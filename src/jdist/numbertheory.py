@@ -11,7 +11,6 @@ brute-force family enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import prime_powers
@@ -22,29 +21,10 @@ class RangeError(ValueError):
     """The requested multiplier pushes the special factor past n."""
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization with strictly increasing primes."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-
-def factorize(n: int) -> Factorization:
-    """Prime factorization of ``1 <= n <= MAX_FACTOR_INPUT``."""
-    return Factorization(tuple(prime_powers(n)))
-
-
 def special_factor(n: int) -> int:
     """The divisor of n governing even values of c*(n-c)/n."""
     out = 1
-    for p, e in factorize(n).pairs:
+    for p, e in prime_powers(n):
         if p == 2:
             out *= 2 ** ((e + 2) // 2)  # ceil((e+1)/2)
         else:

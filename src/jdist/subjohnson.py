@@ -186,7 +186,7 @@ def solve_sub_families(n: int) -> list[SubFamily]:
 
 def sq_dist_points(p: Sequence, q: Sequence) -> QuadNum:
     exact = IntPointSet([p, q])
-    return QuadNum.of(exact.value_of(exact.sq_dist_key(*exact.vectors)))
+    return QuadNum.of(exact.value_of(exact.row_keys(0, 1, 2)[0]))
 
 
 @dataclass(frozen=True)

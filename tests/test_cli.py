@@ -1,5 +1,6 @@
 """Command-line contract: outputs, formats, determinism, exit codes."""
 
+import inspect
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import jdist.cli
 from jdist.cli import (
     SUB2_EXPECTED,
     TABLES_EXPECTED,
@@ -20,6 +22,7 @@ from jdist.cli import (
     run,
 )
 from jdist.families import Parameters, enumerate_families, max_sq_dist
+from jdist.maximality import DEFAULT_CAP, classify
 from jdist.numbertheory import is_extendable, max_extendable_n
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -296,11 +299,74 @@ def test_entry_point_and_invalid_args():
         ["corollary", "-2"],
         ["corollary", "1001"],
         ["n0", "18", "--budget", "many"],
+        ["classify", "9", "4", "--budget", "many"],
     ):
         with pytest.raises(SystemExit) as exc:
             config_from_args(argv)
         assert exc.value.code == 2, argv
     assert config_from_args(["classify", "9", "4", "--budget", "0"]).budget == 0
+
+
+# one valid command line per subcommand, and the options each one takes
+COMMAND_LINES = {
+    "n0": ["n0", "18"],
+    "predicate": ["predicate", "9", "2"],
+    "families": ["families", "9", "3"],
+    "classify": ["classify", "9", "3"],
+    "tables": ["tables", "--m", "3"],
+    "sub2": ["sub2", "5"],
+    "corollary": ["corollary", "8"],
+    "verify": ["verify", "points.json", "--m", "2"],
+}
+OPTIONS = {"budget": {"classify"}, "cap": {"classify", "families"}}
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+@pytest.mark.parametrize("command", sorted(COMMAND_LINES))
+def test_budget_and_cap_only_where_they_act(command, option, capsys):
+    argv = COMMAND_LINES[command] + [f"--{option}", "7"]
+    if command in OPTIONS[option]:
+        assert getattr(config_from_args(argv), option) == 7
+        return
+    with pytest.raises(SystemExit) as exc:
+        config_from_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{option} 7" in capsys.readouterr().err
+
+
+def test_tables_searches_each_row_at_the_fixed_budget(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(classify).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(jdist.cli, "classify", recording)
+    code, _ = invoke("tables", "--m", "3")
+    assert code == 0
+    assert [call["params"] for call in calls] == [Parameters(8, 3), Parameters(9, 3)]
+    assert all((call["budget"], call["cap"]) == (20_000, DEFAULT_CAP) for call in calls)
+
+
+def test_json_echoes_the_options_the_command_takes():
+    _, out = invoke("classify", "9", "3", "--budget", "0", "--format", "json")
+    assert json.loads(out)["arguments"] == {
+        "n": 9,
+        "m": 3,
+        "budget": 0,
+        "cap": DEFAULT_CAP,
+        "format": "json",
+    }
+    _, out = invoke("families", "9", "2", "--addable", "--cap", "0", "--format", "json")
+    assert json.loads(out)["arguments"] == {
+        "n": 9,
+        "m": 2,
+        "addable_only": True,
+        "cap": 0,
+        "format": "json",
+    }
 
 
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):

@@ -1,16 +1,15 @@
 """Special factor, extendability predicate, closed forms, parity facts."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from jdist.exactnum import MAX_FACTOR_INPUT
+from jdist.exactnum import MAX_FACTOR_INPUT, prime_powers
 from jdist.families import Parameters, exists_addable, is_addable
 from jdist.numbertheory import (
-    Factorization,
     RangeError,
     extension_family,
-    factorize,
     is_extendable,
     max_extendable_n,
     multiplier_condition,
@@ -20,15 +19,15 @@ from jdist.numbertheory import (
 from jdist.spectra import cross_family_spectrum
 
 
-def test_factorize():
-    assert factorize(1) == Factorization(())
-    assert factorize(18).pairs == ((2, 1), (3, 2))
-    assert factorize(97).pairs == ((97, 1),)
+def test_prime_powers():
+    assert prime_powers(1) == []
+    assert prime_powers(18) == [(2, 1), (3, 2)]
+    assert prime_powers(97) == [(97, 1)]
     for n in range(1, 500):
-        assert factorize(n).value == n
-    assert factorize(MAX_FACTOR_INPUT).pairs == ((2, 12), (5, 12))
+        assert math.prod(p**e for p, e in prime_powers(n)) == n
+    assert prime_powers(MAX_FACTOR_INPUT) == [(2, 12), (5, 12)]
     with pytest.raises(ValueError):
-        factorize(MAX_FACTOR_INPUT + 1)
+        prime_powers(MAX_FACTOR_INPUT + 1)
 
 
 def test_special_factor_values():

@@ -52,7 +52,7 @@ def test_keys_match_quadnum_arithmetic():
         keys = {}
         values = {}
         for i, j in pairs:
-            key = exact.sq_dist_key(exact.vectors[i], exact.vectors[j])
+            (key,) = exact.row_keys(i, j, j + 1)
             value = quad_sq_dist(points[i], points[j])
             assert exact.value_of(key) == value
             assert exact.key_of(value) == key
@@ -75,7 +75,6 @@ def test_row_and_distinct_keys_match_quadnum_arithmetic():
             keys = exact.row_keys(a, 0, count)
             assert len(keys) == count
             for b, key in enumerate(keys):
-                assert key == exact.sq_dist_key(exact.vectors[a], exact.vectors[b])
                 assert exact.value_of(key) == quad_sq_dist(points[a], points[b])
             start = rng.randrange(count + 1)
             stop = rng.randrange(start, count + 1)
@@ -112,7 +111,7 @@ def test_rational_and_radical_bases():
     assert (exact.radicands, exact.denominator) == ((1,), 6)
     mixed = IntPointSet([(QuadNum({5: 1}), 0), (0, QuadNum({15: F(1, 2)}))])
     assert (mixed.radicands, mixed.denominator) == ((1, 5, 15), 2)
-    key = mixed.sq_dist_key(*mixed.vectors)
+    (key,) = mixed.row_keys(0, 1, 2)
     assert mixed.value_of(key) == F(35, 4)
 
 
