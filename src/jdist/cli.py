@@ -487,7 +487,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv=None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    """Parse ``argv``, refusing an unknown option against the subcommand's
+    own parser: argparse hands a subcommand's leftovers back to the
+    top-level parser, whose usage line names neither the subcommand nor its
+    options."""
+    parser = build_parser()
+    config, extras = parser.parse_known_args(argv)
+    if extras:
+        subcommands = next(
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        )
+        subcommands.choices[config.subcommand].error(
+            f"unrecognized arguments: {' '.join(extras)}"
+        )
+    return config
 
 
 def main(argv=None) -> int:

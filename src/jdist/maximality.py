@@ -16,8 +16,9 @@ conflict edges are capped.  The search is an exact branch-and-bound:
 universal vertices join every clique and are only counted, and the rest,
 the conflict core, is colored once so that each color class is a
 conflict clique.  The bound is the number of classes still meeting the
-candidates, kept up to date per branched vertex in time linear in its
-conflict degree.  A node budget with an explicit optimality flag and an
+candidates.  Each class is a run of consecutive labels, so one carry
+through the candidate mask counts them in a constant number of integer
+operations per node.  A node budget with an explicit optimality flag and an
 exact upper bound keeps the open instances honest.
 """
 
@@ -306,12 +307,17 @@ def max_clique(
     once, greedily, and relabelled in color order; each color class is a
     clique of the conflict graph, so a clique takes at most one vertex per
     class and the number of classes that still meet the candidate set
-    bounds any extension.  Branching on ``v`` removes ``v`` and its
-    conflict neighbors from the candidates, and the per-class counts are
-    updated for exactly those vertices and restored on backtrack: one
-    expansion costs O(conflict degree of v).  The depth-first search keeps
-    its levels on an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    bounds any extension.  The relabelling makes every class a run of
+    labels ``s..e``; ``tops`` holds each ``e`` and ``below`` the rest, so
+    a run's part of ``below`` is ``2**e - 2**s``.  Adding to it a nonempty
+    subset of its own bits carries into bit ``e`` and never past it, which
+    makes ``((candidates & below) + below | candidates) & tops`` the top
+    bits of exactly the classes that meet ``candidates``: a constant number
+    of big-integer operations per node, with nothing to undo on backtrack.
+    Branching on ``v`` removes ``v`` and its conflict neighbors from the
+    candidates.  The depth-first search keeps the candidates of its
+    suspended levels on an explicit stack, so its depth is not bounded by
+    the interpreter's recursion limit.
 
     ``budget`` caps vertex expansions; when exhausted the best clique so
     far is returned with ``optimal=False`` (a certified lower bound) next to
@@ -329,7 +335,6 @@ def max_clique(
 
     order, colors = _color_order(core_mask, universe.conflicts)
     label = {v: i for i, v in enumerate(order)}
-    color_of = [c - 1 for c in colors]
     conflicts: list[int] = []  # conflict neighbors of each core label
     for v in order:
         rest = universe.conflicts[v]
@@ -354,65 +359,41 @@ def max_clique(
             best = core_part(seed)
 
     classes = colors[-1] if colors else 0
-    counts = [0] * classes  # core candidates left in each color class
-    for c in color_of:
-        counts[c] += 1
+    full = (1 << len(order)) - 1
+    tops = 0  # the last label of each color class
+    for i, c in enumerate(colors):
+        if i + 1 == len(colors) or colors[i + 1] != c:
+            tops |= 1 << i
+    below = full ^ tops  # the other labels of each class
 
-    def drop(mask: int) -> int:
-        """Take the vertices of ``mask`` out of their classes; returns the
-        number of classes this empties."""
-        emptied = 0
-        while mask:
-            low = mask & -mask
-            c = color_of[low.bit_length() - 1]
-            counts[c] -= 1
-            if not counts[c]:
-                emptied += 1
-            mask ^= low
-        return emptied
-
-    def restore(mask: int) -> int:
-        """Undo ``drop(mask)``; returns the number of classes refilled."""
-        refilled = 0
-        while mask:
-            low = mask & -mask
-            c = color_of[low.bit_length() - 1]
-            if not counts[c]:
-                refilled += 1
-            counts[c] += 1
-            mask ^= low
-        return refilled
-
-    live = classes  # color classes with a candidate left
     current: list[int] = []
-    stack: list[tuple[int, int, int]] = []  # suspended levels: entry, candidates, gone
-    entry = candidates = (1 << len(order)) - 1
+    stack: list[int] = []  # candidates of the suspended levels
+    candidates = full
     expansions = 0
     optimal = True
     while True:
-        if candidates and len(current) + live > len(best):
+        # the top bit of each class that still meets the candidates
+        live = ((candidates & below) + below | candidates) & tops
+        if candidates and len(current) + live.bit_count() > len(best):
             expansions += 1
             if expansions > budget:
                 optimal = False
                 break
             v = candidates.bit_length() - 1
             candidates ^= 1 << v
-            gone = candidates & conflicts[v]
-            live -= drop(1 << v | gone)
             current.append(v)
-            if candidates ^ gone:
-                stack.append((entry, candidates, gone))
-                entry = candidates = candidates ^ gone
+            rest = candidates & ~conflicts[v]
+            if rest:
+                stack.append(candidates)
+                candidates = rest
                 continue
             if len(current) > len(best):
                 best = list(current)
-        else:  # this level is done: give its branched vertices back
-            live += restore(entry ^ candidates)
+        else:  # this level is done
             if not stack:
                 break
-            entry, candidates, gone = stack.pop()
+            candidates = stack.pop()
         current.pop()
-        live += restore(gone)
 
     vertices = tuple(sorted(universal + [order[i] for i in best]))
     upper_bound = len(vertices) if optimal else len(universal) + classes
@@ -489,6 +470,20 @@ def four_distance_witness_points() -> list[tuple[Fraction, ...]]:
     return points
 
 
+def _scale_point(point: Sequence[Fraction], n: int) -> tuple[int, ...]:
+    """``n`` times a point whose coordinates are multiples of ``1/n``.
+
+    Raises ``ValueError`` for a coordinate that is not, rather than
+    truncating it.
+    """
+    scaled = []
+    for c in point:
+        if n % c.denominator:
+            raise ValueError(f"coordinate {c} is not a multiple of 1/{n}")
+        scaled.append(c.numerator * (n // c.denominator))
+    return tuple(scaled)
+
+
 def classify(
     params: Parameters,
     budget: int = DEFAULT_BUDGET,
@@ -548,8 +543,7 @@ def classify(
             seed = None
             if witness is not None and witness.verified:
                 johnson = set(scaled_johnson_points(params))
-                n = params.n
-                scaled = (tuple(int(c * n) for c in p) for p in pts)
+                scaled = (_scale_point(p, params.n) for p in pts)
                 seed = [universe.index_of(p) for p in scaled if p not in johnson]
             result = max_clique(universe, budget=budget, seed=seed)
             added, optimal = result.size, result.optimal

@@ -331,7 +331,9 @@ def test_budget_and_cap_only_where_they_act(command, option, capsys):
     with pytest.raises(SystemExit) as exc:
         config_from_args(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: --{option} 7" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: jdist {command} ")
+    assert f"jdist {command}: error: unrecognized arguments: --{option} 7" in err
 
 
 def test_tables_searches_each_row_at_the_fixed_budget(monkeypatch):

@@ -23,6 +23,7 @@ from jdist.families import (
 )
 from jdist.maximality import (
     CandidateUniverse,
+    MaxCliqueResult,
     UniverseTooLarge,
     build_universe,
     classify,
@@ -373,6 +374,68 @@ def test_max_clique_matches_brute_force_on_random_graphs():
     assert searched >= 20
 
 
+def reference_max_clique(universe, budget=maximality.DEFAULT_BUDGET, seed=()):
+    """``max_clique`` with the bound counted plainly: the same coloring,
+    relabelling, incumbent, branching order and budget rule, with the live
+    color classes counted as a set over the candidates at every node."""
+    core = sum(1 << v for v, mask in enumerate(universe.conflicts) if mask)
+    universal = [v for v, mask in enumerate(universe.conflicts) if not mask]
+    order, colors = maximality._color_order(core, universe.conflicts)
+    label = {v: i for i, v in enumerate(order)}
+    conflict = [{label[u] for u in label if universe.conflicts[v] >> u & 1} for v in order]
+    best = [label[v] for v in maximality._greedy_clique(core, universe.conflicts)]
+    if len([v for v in seed if v in label]) > len(best):
+        best = [label[v] for v in seed if v in label]
+    expansions = 0
+
+    def expand(current, candidates):  # False once the budget is exhausted
+        nonlocal best, expansions
+        for v in sorted(candidates, reverse=True):
+            if len(current) + len({colors[u] for u in candidates}) <= len(best):
+                break
+            expansions += 1
+            if expansions > budget:
+                return False
+            candidates = candidates - {v}
+            rest = candidates - conflict[v]
+            if rest:
+                if not expand(current + [v], rest):
+                    return False
+            elif len(current) + 1 > len(best):
+                best = current + [v]
+        return True
+
+    optimal = expand([], set(range(len(order))))
+    vertices = tuple(sorted(universal + [order[i] for i in best]))
+    upper_bound = len(vertices) if optimal else len(universal) + (colors[-1] if colors else 0)
+    return MaxCliqueResult(vertices, optimal, expansions, upper_bound)
+
+
+def test_max_clique_traverses_like_the_reference_search():
+    # the whole result must agree, so a wrong bound shows up in the
+    # expansions and in which clique a truncated search returns
+    rng = random.Random(14)
+    truncated = 0
+    for trial in range(200):
+        size = rng.randint(1, 60)
+        universal = set(rng.sample(range(size), rng.randint(0, size // 4))) if trial % 3 else set()
+        masks = random_masks(rng, size, rng.uniform(0.05, 0.95), universal)
+        universe = graph_universe(masks)
+        full = max_clique(universe)
+        assert full == reference_max_clique(universe)
+
+        budget = rng.randrange(full.expansions + 1)
+        assert max_clique(universe, budget=budget) == reference_max_clique(universe, budget)
+        truncated += budget < full.expansions
+
+        seed = []  # a random maximal clique
+        for v in rng.sample(range(size), size):
+            if all(masks[v] >> u & 1 for u in seed):
+                seed.append(v)
+        assert max_clique(universe, budget, seed) == reference_max_clique(universe, budget, seed)
+    assert truncated >= 100
+
+
 def test_max_clique_complete_and_edgeless_graphs():
     for size in (1, 2, 7, 14):
         complete = max_clique(graph_universe([((1 << size) - 1) ^ (1 << v) for v in range(size)]))
@@ -419,7 +482,7 @@ def test_max_clique_9_4_witness_seed_speed():
     params = Parameters(9, 4)
     u = universe_of(params)
     johnson = set(scaled_johnson_points(params))
-    scaled = (tuple(int(c * 9) for c in p) for p in four_distance_witness_points())
+    scaled = (maximality._scale_point(p, 9) for p in four_distance_witness_points())
     seed = [u.index_of(p) for p in scaled if p not in johnson]
     start = time.perf_counter()
     result = max_clique(u, budget=100_000, seed=seed)
@@ -428,6 +491,12 @@ def test_max_clique_9_4_witness_seed_speed():
     assert result.size == 132
     assert result.upper_bound == 45 + 163  # universal vertices + root color classes
     assert_clique(u.adjacency, result.vertices)
+
+
+def test_scale_point_refuses_coordinates_off_the_grid():
+    assert maximality._scale_point((F(4, 9), F(-5, 9), F(1, 3), 2), 9) == (4, -5, 3, 18)
+    with pytest.raises(ValueError, match="1/2 is not a multiple of 1/9"):
+        maximality._scale_point((F(1, 9), F(1, 2)), 9)
 
 
 def test_classify_9_2():
