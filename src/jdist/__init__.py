@@ -41,7 +41,7 @@ from .numbertheory import (
     parity_check,
     special_factor,
 )
-from .spectra import ParameterMismatch, Spectrum, cross_family_spectrum, johnson_family_spectrum
+from .spectra import ParameterMismatch, cross_family_spectrum, johnson_family_spectrum
 from .subjohnson import (
     SubFamily,
     combination_search,

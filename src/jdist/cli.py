@@ -6,12 +6,14 @@ column wherever reference values are embedded; FLAG marks the known
 places where a printed reference total disagrees with recomputation
 (those are reported, never silently adopted).
 
-Each handler returns one :class:`Report`; :func:`run` renders it as text,
-JSON or CSV.
+The library returns plain data; this module alone shapes it into
+reports, with one builder per JSON record kind.  Each handler returns one
+:class:`Report`; :func:`run` renders it as text, JSON or CSV.
 
 Exit codes: 0 success, 1 when ``tables`` or ``sub2`` has a FAIL reference
-row, 2 invalid arguments, 3 when a clique search hit its node budget
-without proving optimality.  The report is written in every case but 2.
+row, 2 invalid arguments or an ``--output`` path that cannot be written, 3
+when a clique search hit its node budget without proving optimality.  The
+report is written in every case but 2.
 """
 
 from __future__ import annotations
@@ -108,6 +110,86 @@ def _columns(widths, rows) -> list:
     return [" ".join([c.rjust(w) for c, w in zip(row, widths)] + row[-1:]) for row in cells]
 
 
+# -- report records: one builder per JSON record kind ----------------------
+
+
+def _family_record(fam, **extra) -> dict:
+    """A candidate family; the ``extra`` keys follow the family's own."""
+    n = fam.params.n
+    return {
+        "n": n,
+        "m": fam.params.m,
+        "k0": fam.offset,
+        "k": list(fam.counts),
+        "size": fam.size,
+        "levels": [format_ratio(v, n) for v in fam.scaled_levels()],
+        **extra,
+    }
+
+
+def _classify_record(report) -> dict:
+    params = report.params
+    record = {
+        "n": params.n,
+        "m": params.m,
+        "johnson_size": params.johnson_size,
+        "addable_families": [
+            _family_record(f, johnson_spectrum=[str(v) for v in s])
+            for f, s in zip(report.addable, report.johnson_spectra)
+        ],
+        "universe_size": report.universe_size,
+        "complete_compatibility": report.complete,
+        "incompatibilities": list(report.incompatibilities),
+        "added_count": report.added_count,
+        "maximal_set_cardinality": report.maximal_set_cardinality,
+        "optimal": report.optimal,
+        "notes": list(report.notes),
+    }
+    s = report.clique_structure
+    if s is not None:
+        record["maximal_clique_sizes"] = {
+            "min": s.min_size,
+            "max": s.max_size,
+            "count": s.count,
+            "exhaustive": s.exhaustive,
+            "method": s.method,
+        }
+    w = report.witness
+    if w is not None:
+        record["witness"] = {
+            "description": w.description,
+            "size": w.size,
+            "verified": w.verified,
+            "spectrum": [str(v) for v in w.spectrum],
+        }
+    return record
+
+
+def _sub2_family_record(fam, intra: bool) -> dict:
+    # the point shape ((a)^k, (a-1)^(n-1-k), (b)), without an empty run or an exponent 1
+    runs = ((fam.a, fam.k), (fam.a - 1, fam.n - 1 - fam.k), (fam.b, 1))
+    shape = ", ".join(f"({v})^{c}" if c > 1 else f"({v})" for v, c in runs if c)
+    return {
+        "label": fam.label,
+        "n": fam.n,
+        "k": fam.k,
+        "size": fam.size,
+        "a": str(fam.a),
+        "b": str(fam.b),
+        "point_shape": f"({shape})",
+        "intra_two_distance": intra,
+    }
+
+
+def _combination_record(combo) -> dict:
+    return {
+        "families": list(combo.labels),
+        "added": combo.added,
+        "total": combo.total,
+        "maximal": combo.maximal,
+    }
+
+
 # -- subcommand handlers ---------------------------------------------------
 
 
@@ -137,11 +219,12 @@ def _cmd_families(config: argparse.Namespace) -> Report:
     n, m = config.n, config.m
     entries = []
     for fam in families:
-        entry = fam.to_json()
         peak = scaled_peak(fam)
-        entry["addable"] = peak_is_addable(fam, peak)
-        entry["peak_sq_dist"] = format_ratio(peak, n)
-        entries.append(entry)
+        entries.append(
+            _family_record(
+                fam, addable=peak_is_addable(fam, peak), peak_sq_dist=format_ratio(peak, n)
+            )
+        )
     results = {"n": n, "m": m, "count": len(entries), "families": entries}
     lines = itertools.chain(
         [f"families for n={n}, m={m}: {len(entries)}"],
@@ -195,7 +278,7 @@ def _cmd_classify(config: argparse.Namespace) -> Report:
         ("n", "m", "added", "total", "optimal"),
         (params.n, params.m, report.added_count, report.maximal_set_cardinality, report.optimal),
     ]
-    return Report(report.to_json(), rows, lines, 0 if report.optimal else 3)
+    return Report(_classify_record(report), rows, lines, 0 if report.optimal else 3)
 
 
 def _table_status(report, expected) -> str:
@@ -223,7 +306,7 @@ def _cmd_tables(config: argparse.Namespace) -> Report:
         entries.append(
             {
                 "n": n,
-                "families": [f.to_json() for f in report.addable] if report else [],
+                "families": [_family_record(f) for f in report.addable] if report else [],
                 "added": report.added_count if report else None,
                 "total": report.maximal_set_cardinality if report else None,
                 "optimal": report.optimal if report else None,
@@ -275,13 +358,26 @@ def _cmd_sub2(config: argparse.Namespace) -> Report:
             }
         )
 
+    results = {
+        "n": n,
+        "johnson_size": subjohnson.sub_johnson_size(n),
+        "families": [
+            _sub2_family_record(f, ok) for f, ok in zip(report.families, report.intra_valid)
+        ],
+        "combinations": [_combination_record(c) for c in report.combinations],
+        "reference": comparisons,
+    }
+
     lines = [
         f"two-distance extensions of the fixed-last-axis representation, n={n}",
-        f"  johnson points: {subjohnson.sub_johnson_size(n)}",
+        f"  johnson points: {results['johnson_size']}",
         "  families:",
     ]
-    for fam, ok in zip(report.families, report.intra_valid):
-        lines.append(f"    {fam.label}: {fam.describe()}  size={fam.size} intra={_flag(ok)}")
+    for f in results["families"]:
+        lines.append(
+            f"    {f['label']}: {f['point_shape']}  size={f['size']} "
+            f"intra={_flag(f['intra_two_distance'])}"
+        )
     lines.append("  maximal combinations:")
     for combo in report.combinations:
         if combo.maximal:
@@ -297,7 +393,7 @@ def _cmd_sub2(config: argparse.Namespace) -> Report:
     for combo in report.combinations:
         rows.append((n, " ".join(combo.labels), combo.added, combo.total, combo.maximal))
     code = 1 if any(item["status"] == "FAIL" for item in comparisons) else 0
-    return Report(dict(report.to_json(), reference=comparisons), rows, lines, code)
+    return Report(results, rows, lines, code)
 
 
 def _cmd_corollary(config: argparse.Namespace) -> Report:
@@ -387,8 +483,12 @@ def run(config: argparse.Namespace, stream=None) -> int:
         payload = "\n".join(report.lines) + "\n"
 
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         out = stream if stream is not None else sys.stdout
         out.write(payload)

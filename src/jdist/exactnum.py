@@ -319,7 +319,7 @@ class IntPointSet:
     against a run of points in one list pass per ``f``.
     """
 
-    __slots__ = ("radicands", "denominator", "vectors", "_plan", "_layouts", "_forms")
+    __slots__ = ("radicands", "denominator", "vectors", "_plan", "_forms")
 
     def __init__(self, points: Iterable[Sequence[Scalar]]):
         terms = [[_scalar_terms(c) for c in p] for p in points]
@@ -356,8 +356,8 @@ class IntPointSet:
                 plan.setdefault(f, []).append((i, j, 2 * g))
         self._plan = tuple((f, tuple(plan[f])) for f in sorted(plan))
         size = len(self.radicands) * dim
-        self._layouts = tuple(_layout(products, dim, size) for _, products in self._plan)
-        self._forms = tuple(_gram_forms(layout, self.vectors) for layout in self._layouts)
+        layouts = [_layout(products, dim, size) for _, products in self._plan]
+        self._forms = tuple(_gram_forms(layout, self.vectors) for layout in layouts)
 
     def row_keys(self, a: int, start: int, stop: int) -> list[Key]:
         """Keys of point ``a`` against points ``start, ..., stop - 1``."""

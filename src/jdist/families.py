@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import format_ratio, squarefree_decompose
+from .exactnum import squarefree_decompose
 
 Profile = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -118,16 +118,6 @@ class CandidateFamily:
 
     def scaled_points(self) -> Iterator[tuple[int, ...]]:
         yield from _arrangements(self.scaled_levels(), self.counts)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.params.n,
-            "m": self.params.m,
-            "k0": self.offset,
-            "k": list(self.counts),
-            "size": self.size,
-            "levels": [format_ratio(v, self.params.n) for v in self.scaled_levels()],
-        }
 
     def __str__(self) -> str:
         body = ", ".join(

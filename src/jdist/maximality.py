@@ -24,11 +24,12 @@ exact upper bound keeps the open instances honest.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .exactnum import IntPointSet
 from .families import (
@@ -37,7 +38,7 @@ from .families import (
     addable_families,
     scaled_johnson_points,
 )
-from .spectra import Spectrum, cross_family_spectrum, johnson_family_spectrum
+from .spectra import cross_family_spectrum, johnson_family_spectrum
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_CAP = 10**5
@@ -117,7 +118,7 @@ class WitnessReport:
 class ClassificationReport:
     params: Parameters
     addable: tuple[CandidateFamily, ...]
-    johnson_spectra: tuple[Spectrum, ...]  # one per addable family
+    johnson_spectra: tuple[tuple[Fraction, ...], ...]  # one per addable family
     incompatibilities: tuple[str, ...]
     added_count: int
     optimal: bool
@@ -137,45 +138,10 @@ class ClassificationReport:
     def maximal_set_cardinality(self) -> int:
         return self.params.johnson_size + self.added_count
 
-    def to_json(self) -> dict:
-        out = {
-            "n": self.params.n,
-            "m": self.params.m,
-            "johnson_size": self.params.johnson_size,
-            "addable_families": [
-                dict(f.to_json(), johnson_spectrum=s.to_json())
-                for f, s in zip(self.addable, self.johnson_spectra)
-            ],
-            "universe_size": self.universe_size,
-            "complete_compatibility": self.complete,
-            "incompatibilities": list(self.incompatibilities),
-            "added_count": self.added_count,
-            "maximal_set_cardinality": self.maximal_set_cardinality,
-            "optimal": self.optimal,
-            "notes": list(self.notes),
-        }
-        if self.clique_structure is not None:
-            s = self.clique_structure
-            out["maximal_clique_sizes"] = {
-                "min": s.min_size,
-                "max": s.max_size,
-                "count": s.count,
-                "exhaustive": s.exhaustive,
-                "method": s.method,
-            }
-        if self.witness is not None:
-            out["witness"] = {
-                "description": self.witness.description,
-                "size": self.witness.size,
-                "verified": self.witness.verified,
-                "spectrum": [str(v) for v in self.witness.spectrum],
-            }
-        return out
-
 
 def family_pass(
     params: Parameters,
-) -> tuple[tuple[CandidateFamily, ...], tuple[Spectrum, ...], list[tuple[int, int]]]:
+) -> tuple[tuple[CandidateFamily, ...], tuple[tuple[Fraction, ...], ...], list[tuple[int, int]]]:
     """The family-level facts of one instance, before any point is built.
 
     Returns the addable families, their Johnson spectra and the index pairs
@@ -188,13 +154,13 @@ def family_pass(
     families = tuple(addable_families(params))
     spectra = tuple(johnson_family_spectrum(fam) for fam in families)
     for fam, spectrum in zip(families, spectra):
-        if not spectrum.within(allowed):
+        if not set(spectrum) <= allowed:
             raise AssertionError(f"addable family {fam} fails the Johnson spectrum check")
     pairs = [
         (a, b)
         for a, fam in enumerate(families)
         for b in range(a, len(families))
-        if (a != b or fam.size > 1) and not cross_family_spectrum(fam, families[b]).within(allowed)
+        if (a != b or fam.size > 1) and not set(cross_family_spectrum(fam, families[b])) <= allowed
     ]
     return families, spectra, pairs
 
@@ -437,51 +403,36 @@ def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):
     return ok, values
 
 
-def four_distance_witness_points() -> list[tuple[Fraction, ...]]:
-    """The 258-point four-distance set containing the n = 9 representation.
+def _witness_vectors() -> Iterator[tuple[int, ...]]:
+    """9 times each of the 132 vectors the 258-point witness adds to J(9, 4).
 
-    Johnson points plus: both fully addable orbits, the single deep-level
-    vector whose lone negative coordinate sits last, and the 86 vectors of
-    the large orbit whose negative coordinate follows both peak
-    coordinates (84 position-ordered ones plus two sporadic arrangements).
-    Whether 258 is the true maximum is open; this set itself verifies.
+    Both fully addable orbits, the single deep-level vector whose lone
+    negative coordinate sits last, and the 86 vectors of the large orbit
+    whose negative coordinate follows both peak coordinates (84
+    position-ordered ones plus two sporadic arrangements).
     """
     params = Parameters(9, 4)
-    n = params.n
-    points: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(c, n) for c in p) for p in scaled_johnson_points(params)
-    ]
     for fam in (CandidateFamily(params, 3, (7, 2)), CandidateFamily(params, -3, (1, 8))):
-        points.extend(fam.points())
-
-    deep = CandidateFamily(params, 3, (8, 0, 1))
-    points.append(next(deep.points()))  # first arrangement: negative value last
+        yield from fam.scaled_points()
+    # first arrangement: negative value last
+    yield next(CandidateFamily(params, 3, (8, 0, 1)).scaled_points())
 
     big = CandidateFamily(params, -3, (2, 6, 1))
-    peak, _, low = big.levels
-    for p in big.points():
-        low_pos = p.index(low)
-        peak_pos = max(i for i, c in enumerate(p) if c == peak)
-        if low_pos > peak_pos:
-            points.append(p)
-    mid = big.levels[1]
-    points.append((low, peak, peak) + (mid,) * 6)
-    points.append((peak, low, peak) + (mid,) * 6)
-    return points
+    peak, mid, low = big.scaled_levels()
+    for p in big.scaled_points():
+        if p.index(low) > max(i for i, c in enumerate(p) if c == peak):
+            yield p
+    yield (low, peak, peak) + (mid,) * 6
+    yield (peak, low, peak) + (mid,) * 6
 
 
-def _scale_point(point: Sequence[Fraction], n: int) -> tuple[int, ...]:
-    """``n`` times a point whose coordinates are multiples of ``1/n``.
-
-    Raises ``ValueError`` for a coordinate that is not, rather than
-    truncating it.
+def four_distance_witness_points() -> list[tuple[Fraction, ...]]:
+    """The 258-point four-distance set containing the n = 9 representation:
+    the Johnson points, then the vectors of :func:`_witness_vectors`.
+    Whether 258 is the true maximum is open; this set itself verifies.
     """
-    scaled = []
-    for c in point:
-        if n % c.denominator:
-            raise ValueError(f"coordinate {c} is not a multiple of 1/{n}")
-        scaled.append(c.numerator * (n // c.denominator))
-    return tuple(scaled)
+    scaled = itertools.chain(scaled_johnson_points(Parameters(9, 4)), _witness_vectors())
+    return [tuple(Fraction(c, 9) for c in p) for p in scaled]
 
 
 def classify(
@@ -542,9 +493,7 @@ def classify(
         else:
             seed = None
             if witness is not None and witness.verified:
-                johnson = set(scaled_johnson_points(params))
-                scaled = (_scale_point(p, params.n) for p in pts)
-                seed = [universe.index_of(p) for p in scaled if p not in johnson]
+                seed = [universe.index_of(p) for p in _witness_vectors()]
             result = max_clique(universe, budget=budget, seed=seed)
             added, optimal = result.size, result.optimal
             structure = maximal_clique_structure(universe)

@@ -9,9 +9,7 @@ force over materialized points agrees (tested up to n = 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .families import CandidateFamily, bounded_compositions, iter_profiles, profile_sq_dist
 
@@ -20,44 +18,15 @@ class ParameterMismatch(ValueError):
     """The two families live over different parameters."""
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted set of positive exact squared distances."""
-
-    values: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values: Iterable[Fraction]) -> "Spectrum":
-        return Spectrum(tuple(sorted(set(v for v in values if v > 0))))
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __contains__(self, value: object) -> bool:
-        return value in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def peak(self) -> Fraction:
-        return self.values[-1]
-
-    def within(self, allowed: Iterable) -> bool:
-        allowed = set(allowed)
-        return all(v in allowed for v in self.values)
-
-    def to_json(self) -> list[str]:
-        return [str(v) for v in self.values]
+def johnson_family_spectrum(fam: CandidateFamily) -> tuple[Fraction, ...]:
+    """Positive squared distances realized between Johnson points and the
+    family, sorted."""
+    values = {profile_sq_dist(fam, profile) for profile in iter_profiles(fam)}
+    return tuple(sorted(v for v in values if v > 0))
 
 
-def johnson_family_spectrum(fam: CandidateFamily) -> Spectrum:
-    """Squared distances realized between Johnson points and the family."""
-    return Spectrum.of(profile_sq_dist(fam, profile) for profile in iter_profiles(fam))
-
-
-def cross_family_spectrum(fam_a: CandidateFamily, fam_b: CandidateFamily) -> Spectrum:
-    """Squared distances realized between points of the two orbits.
+def cross_family_spectrum(fam_a: CandidateFamily, fam_b: CandidateFamily) -> tuple[Fraction, ...]:
+    """Squared distances realized between points of the two orbits, sorted.
 
     Enumerates non-negative integer tables with row sums ``fam_a.counts``
     and column sums ``fam_b.counts``; each cell (u, v) holds coordinates
@@ -85,5 +54,5 @@ def cross_family_spectrum(fam_a: CandidateFamily, fam_b: CandidateFamily) -> Spe
                 bucket.update(s + add for s in sums)
         states = next_states
     final = states.get(tuple([0] * len(cols)), set())
-    return Spectrum.of(Fraction(s, n * n) for s in final)
+    return tuple(Fraction(s, n * n) for s in sorted(final) if s > 0)
 

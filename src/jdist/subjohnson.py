@@ -72,28 +72,6 @@ class SubFamily:
             out.append(tuple(point))
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "k": self.k,
-            "size": self.size,
-            "a": str(self.a),
-            "b": str(self.b),
-            "point_shape": self.describe(),
-        }
-
-    def describe(self) -> str:
-        n, k = self.n, self.k
-        parts = []
-        if k:
-            parts.append(f"({self.a})^{k}" if k > 1 else f"({self.a})")
-        if n - 1 - k:
-            low = self.a - 1
-            parts.append(f"({low})^{n - 1 - k}" if n - 1 - k > 1 else f"({low})")
-        parts.append(f"({self.b})")
-        return "(" + ", ".join(parts) + ")"
-
 
 @dataclass(frozen=True)
 class FamilyCombination:
@@ -101,14 +79,6 @@ class FamilyCombination:
     added: int
     total: int
     maximal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "families": list(self.labels),
-            "added": self.added,
-            "total": self.total,
-            "maximal": self.maximal,
-        }
 
 
 def sub_johnson_points(n: int) -> Iterator[tuple[Fraction, ...]]:
@@ -195,17 +165,6 @@ class CombinationReport:
     families: tuple[SubFamily, ...]
     intra_valid: tuple[bool, ...]
     combinations: tuple[FamilyCombination, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "johnson_size": sub_johnson_size(self.n),
-            "families": [
-                dict(f.to_json(), intra_two_distance=v)
-                for f, v in zip(self.families, self.intra_valid)
-            ],
-            "combinations": [c.to_json() for c in self.combinations],
-        }
 
 
 def combination_search(n: int) -> CombinationReport:

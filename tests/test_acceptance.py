@@ -234,18 +234,19 @@ def test_acceptance_10_spectra_against_materialized_points():
                 small = [f for f in enumerate_families(params) if f.size <= 500]
                 sample = small[::5] + addable
                 for fam in sample:
-                    assert johnson_family_spectrum(fam).values == brute_johnson(fam), fam
+                    assert johnson_family_spectrum(fam) == brute_johnson(fam), fam
                 cross_pool = [f for f in small if f.size <= 120][:10] + [
                     f for f in addable if f.size <= 260
                 ]
                 for fam_a, fam_b in itertools.islice(
                     itertools.combinations(cross_pool, 2), 30
                 ):
-                    assert cross_family_spectrum(fam_a, fam_b).values == brute_cross(
-                        fam_a, fam_b
-                    ), (fam_a, fam_b)
+                    assert cross_family_spectrum(fam_a, fam_b) == brute_cross(fam_a, fam_b), (
+                        fam_a,
+                        fam_b,
+                    )
                 for fam in cross_pool[:8]:
-                    assert cross_family_spectrum(fam, fam).values == brute_cross(fam, fam)
+                    assert cross_family_spectrum(fam, fam) == brute_cross(fam, fam)
 
 
 def test_acceptance_11_congruences():

@@ -233,6 +233,16 @@ def test_output_file(tmp_path):
     assert payload["results"]["special_factor"] == 12
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_output_path_that_cannot_be_written(where, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+    assert main(["n0", "18", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_determinism_byte_identical():
     for argv in (
         ("classify", "9", "3", "--format", "json"),
@@ -262,6 +272,13 @@ def test_json_reports_validate_against_schema(tmp_path):
     ):
         _, out = invoke(*argv, "--format", "json")
         jsonschema.validate(json.loads(out), schema)
+
+    # results are checked too: family levels are exact text, not JSON numbers
+    _, out = invoke("families", "9", "2", "--addable", "--format", "json")
+    report = json.loads(out)
+    report["results"]["families"][0]["levels"] = [2 / 3, -1 / 3]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema)
 
 
 def test_entry_point_and_invalid_args():

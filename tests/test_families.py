@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from jdist import families
+from jdist.cli import _family_record
 from jdist.families import (
     CandidateFamily,
     NotReducible,
@@ -178,10 +179,11 @@ def small_sizes():
 
 
 def test_json_levels_are_fraction_text():
-    # to_json formats the scaled integer levels without building Fractions
+    # the report's family record formats the scaled integer levels without
+    # building Fractions
     for n, m in small_sizes():
         for f in enumerate_families(Parameters(n, m)):
-            assert f.to_json()["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
+            assert _family_record(f)["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
 
 
 def test_is_addable_is_the_scaled_peak_rule():

@@ -41,13 +41,25 @@ def test_report_bytes(stem, argv, code, fmt, capsys, monkeypatch):
     assert captured.out.encode("utf-8") == (GOLDEN / f"{stem}.{SUFFIX[fmt]}").read_bytes()
 
 
-@pytest.mark.parametrize("fmt", sorted(SUFFIX))
-def test_largest_listing_digest(fmt, capsys):
-    # families 25 4 is the benchmark's heaviest report (979 KB as JSON), so
-    # its bytes are pinned by length and sha256 rather than by a file
-    digests = json.loads((GOLDEN / "families_25_4.digest.json").read_text(encoding="utf-8"))
-    assert main(["families", "25", "4", "--format", fmt]) == 0
+def assert_digest(stem, argv, fmt, capsys):
+    """The report's length and sha256 equal those in ``golden/{stem}.digest.json``."""
+    digests = json.loads((GOLDEN / f"{stem}.digest.json").read_text(encoding="utf-8"))
+    assert main(argv + ["--format", fmt]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     data = captured.out.encode("utf-8")
     assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == digests[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+def test_largest_listing_digest(fmt, capsys):
+    # families 25 4 is the benchmark's heaviest report (979 KB as JSON), so
+    # its bytes are pinned by length and sha256 rather than by a file
+    assert_digest("families_25_4", ["families", "25", "4"], fmt, capsys)
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+def test_complement_matching_digest(fmt, capsys):
+    # classify 32 7 is the only report of the complement-matching structure
+    # at this scale: 15,904 candidate points, 2**496 maximal cliques
+    assert_digest("classify_32_7", ["classify", "32", "7"], fmt, capsys)

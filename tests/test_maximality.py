@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from jdist import maximality
+from jdist.cli import _classify_record
 from jdist.exactnum import QuadNum
 from jdist.families import (
     CandidateFamily,
     Parameters,
     addable_families,
     johnson_points,
-    scaled_johnson_points,
 )
 from jdist.maximality import (
     CandidateUniverse,
@@ -219,7 +219,7 @@ def test_classify_computes_each_family_spectrum_once(monkeypatch):
         monkeypatch.setattr(maximality, attr, counted(name, getattr(maximality, attr)))
     # over the point cap, over the edge cap, within both caps, over the edge
     # cap with one single-point family: one family pass serves the cap
-    # fallback, the universe build and the JSON report
+    # fallback, the universe build and the JSON record
     for params, cap, cross, johnson in (
         (Parameters(9, 4), 100, 10, 4),
         (Parameters(9, 4), 2015, 10, 4),
@@ -232,8 +232,8 @@ def test_classify_computes_each_family_spectrum_once(monkeypatch):
         report = classify(params, budget=0, cap=cap)
         expected = {"addable": 1, "cross": cross, "johnson": johnson}
         assert calls == expected, (params, cap)
-        report.to_json()
-        assert calls == expected, (params, cap, "to_json")
+        _classify_record(report)
+        assert calls == expected, (params, cap, "report record")
 
 
 def test_max_clique_small():
@@ -481,9 +481,7 @@ def test_max_clique_9_4_witness_seed_speed():
     # 258-point witness took about 10 s with a recoloring at every node
     params = Parameters(9, 4)
     u = universe_of(params)
-    johnson = set(scaled_johnson_points(params))
-    scaled = (maximality._scale_point(p, 9) for p in four_distance_witness_points())
-    seed = [u.index_of(p) for p in scaled if p not in johnson]
+    seed = [u.index_of(p) for p in maximality._witness_vectors()]
     start = time.perf_counter()
     result = max_clique(u, budget=100_000, seed=seed)
     assert time.perf_counter() - start < 3.0
@@ -491,12 +489,6 @@ def test_max_clique_9_4_witness_seed_speed():
     assert result.size == 132
     assert result.upper_bound == 45 + 163  # universal vertices + root color classes
     assert_clique(u.adjacency, result.vertices)
-
-
-def test_scale_point_refuses_coordinates_off_the_grid():
-    assert maximality._scale_point((F(4, 9), F(-5, 9), F(1, 3), 2), 9) == (4, -5, 3, 18)
-    with pytest.raises(ValueError, match="1/2 is not a multiple of 1/9"):
-        maximality._scale_point((F(1, 9), F(1, 2)), 9)
 
 
 def test_classify_9_2():
@@ -558,7 +550,7 @@ def test_classify_9_4_reports_open_conjecture():
     assert r.maximal_set_cardinality >= 258
     if not r.optimal:
         assert any("budget" in note for note in r.notes)
-    payload = r.to_json()
+    payload = _classify_record(r)
     assert payload["witness"]["size"] == 258
     assert payload["maximal_set_cardinality"] >= 258
 
