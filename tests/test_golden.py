@@ -22,6 +22,7 @@ CASES = [
     ("classify_9_3", ["classify", "9", "3"], 0),
     ("classify_9_4_budget_2000", ["classify", "9", "4", "--budget", "2000"], 3),
     ("tables_m3", ["tables", "--m", "3"], 0),
+    ("tables_m4", ["tables", "--m", "4"], 3),
     ("tables_m5", ["tables", "--m", "5"], 0),
     ("sub2_5", ["sub2", "5"], 0),
     ("sub2_9", ["sub2", "9"], 0),
