@@ -44,7 +44,8 @@ from .numbertheory import is_extendable, max_extendable_n, special_factor
 TABLE_SEARCH_BUDGET = 20_000
 
 # Reference classification tables: n -> (added, total, status kind).  The
-# n = 9, m = 4 maximum is open; its row carries the best known witness.
+# n = 9, m = 4 maximum is open: its row holds the best known extension, 132
+# vectors for 258 points, and reads CONJ while the search cannot prove it.
 TABLES_EXPECTED = {
     2: {9: (9, 45, "exact")},
     3: {8: (8, 64, "exact"), 9: (37, 121, "exact")},
@@ -154,14 +155,6 @@ def _classify_record(report) -> dict:
             "exhaustive": s.exhaustive,
             "method": s.method,
         }
-    w = report.witness
-    if w is not None:
-        record["witness"] = {
-            "description": w.description,
-            "size": w.size,
-            "verified": w.verified,
-            "spectrum": [str(v) for v in w.spectrum],
-        }
     return record
 
 
@@ -265,12 +258,6 @@ def _cmd_classify(config: argparse.Namespace) -> Report:
         s = report.clique_structure
         lines.append(
             f"  maximal cliques: sizes {s.min_size}..{s.max_size}, count {s.count} ({s.method})"
-        )
-    if report.witness is not None:
-        w = report.witness
-        lines.append(
-            f"  witness: {w.size} points, verified={_flag(w.verified)}, "
-            f"spectrum {{{', '.join(str(v) for v in w.spectrum)}}}"
         )
     for note in report.notes:
         lines.append(f"  note: {note}")

@@ -72,13 +72,6 @@ class CandidateUniverse:
         full = (1 << self.size) - 1
         return tuple(full ^ mask ^ (1 << i) for i, mask in enumerate(self.conflicts))
 
-    def index_of(self, scaled_point: tuple[int, ...]) -> int:
-        return self._index[scaled_point]
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {p: i for i, p in enumerate(self.scaled)}
-
 
 @dataclass(frozen=True)
 class MaxCliqueResult:
@@ -106,14 +99,6 @@ class CliqueStructure:
     method: ClassVar[str] = "complement-matching"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    description: str
-    size: int
-    verified: bool
-    spectrum: tuple
-
-
 @dataclass
 class ClassificationReport:
     params: Parameters
@@ -123,7 +108,6 @@ class ClassificationReport:
     added_count: int
     optimal: bool
     clique_structure: CliqueStructure | None = None
-    witness: WitnessReport | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -261,11 +245,7 @@ def _color_order(candidates: int, conflicts: Sequence[int]) -> tuple[list[int], 
     return order, bounds
 
 
-def max_clique(
-    universe: CandidateUniverse,
-    budget: int = DEFAULT_BUDGET,
-    seed: Iterable[int] | None = None,
-) -> MaxCliqueResult:
+def max_clique(universe: CandidateUniverse, budget: int = DEFAULT_BUDGET) -> MaxCliqueResult:
     """Branch-and-bound maximum clique on the conflict core.
 
     Universal vertices (no conflicts) join every maximal clique, so they
@@ -288,8 +268,7 @@ def max_clique(
     ``budget`` caps vertex expansions; when exhausted the best clique so
     far is returned with ``optimal=False`` (a certified lower bound) next to
     ``upper_bound``, the universal count plus the number of root classes.
-    A ``seed`` clique, when given, primes the incumbent; the universal
-    vertices it leaves out are added.
+    The incumbent starts from one greedy clique of the core.
     """
     universal: list[int] = []
     core_mask = 0
@@ -311,18 +290,7 @@ def max_clique(
             rest ^= low
         conflicts.append(mask)
 
-    def core_part(clique: Sequence[int]) -> list[int]:
-        return [label[v] for v in clique if v in label]
-
-    best = core_part(_greedy_clique(core_mask, universe.conflicts))
-    if seed is not None:
-        seed = sorted(seed)
-        for i, v in enumerate(seed):
-            for u in seed[i + 1 :]:
-                if u == v or universe.conflicts[v] >> u & 1:
-                    raise AssertionError("seed is not a clique")
-        if len(core_part(seed)) > len(best):
-            best = core_part(seed)
+    best = [label[v] for v in _greedy_clique(core_mask, universe.conflicts)]
 
     classes = colors[-1] if colors else 0
     full = (1 << len(order)) - 1
@@ -430,6 +398,7 @@ def four_distance_witness_points() -> list[tuple[Fraction, ...]]:
     """The 258-point four-distance set containing the n = 9 representation:
     the Johnson points, then the vectors of :func:`_witness_vectors`.
     Whether 258 is the true maximum is open; this set itself verifies.
+    This is the paper's construction; :func:`classify` does not read it.
     """
     scaled = itertools.chain(scaled_johnson_points(Parameters(9, 4)), _witness_vectors())
     return [tuple(Fraction(c, 9) for c in p) for p in scaled]
@@ -446,7 +415,9 @@ def classify(
     points; only genuinely conflicting universes are materialized and
     searched.  A conflicting universe whose points or conflict edges exceed
     ``cap`` degrades to spectrum-level reporting (the cardinality then only
-    counts what is proven addable in full, flagged as non-optimal).
+    counts what is proven addable in full, flagged as non-optimal).  Every
+    instance takes this one path: the open n = 9, m = 4 case is searched
+    like any other, and its budgeted search reports a lower bound.
     """
     families, spectra, pairs = family_pass(params)
     conflicts = tuple(
@@ -457,7 +428,7 @@ def classify(
         for a, b in pairs
     )
     notes: list[str] = []
-    structure = witness = None
+    structure = None
 
     if not families:
         notes.append("no addable candidate vectors; the representation is maximal")
@@ -466,19 +437,6 @@ def classify(
         notes.append("all intra- and cross-family spectra stay inside the allowed set")
         added, optimal = sum(f.size for f in families), True
     else:
-        if (params.n, params.m) == (9, 4):
-            pts = four_distance_witness_points()
-            ok, spectrum = verify_point_set(pts, params.m, johnson=True)
-            witness = WitnessReport(
-                "Johnson points, both fully addable orbits, one deep-level vector, "
-                "and 86 position-filtered vectors of the large orbit",
-                len(pts),
-                ok,
-                spectrum,
-            )
-            notes.append(
-                "best known extension embedded as an explicit witness; maximality is open"
-            )
         try:
             universe = build_universe(params, families, pairs, cap)
         except UniverseTooLarge:
@@ -491,10 +449,7 @@ def classify(
                 "cardinality is a single-family lower bound"
             )
         else:
-            seed = None
-            if witness is not None and witness.verified:
-                seed = [universe.index_of(p) for p in _witness_vectors()]
-            result = max_clique(universe, budget=budget, seed=seed)
+            result = max_clique(universe, budget=budget)
             added, optimal = result.size, result.optimal
             structure = maximal_clique_structure(universe)
             if structure is not None:
@@ -508,5 +463,5 @@ def classify(
                 )
 
     return ClassificationReport(
-        params, families, spectra, conflicts, added, optimal, structure, witness, tuple(notes)
+        params, families, spectra, conflicts, added, optimal, structure, tuple(notes)
     )

@@ -1,14 +1,11 @@
 """Compatibility universes, clique search, classification, verification."""
 
 import dataclasses
-import os
 import random
-import subprocess
 import sys
 import time
 from array import array
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -198,7 +195,6 @@ def test_classify_degrades_above_cap():
     assert r.added_count == 36  # the largest orbit that is two-distance on its own
     assert r.maximal_set_cardinality == 126 + 36
     assert any("materialization cap" in note for note in r.notes)
-    assert r.witness is not None and r.witness.verified
 
 
 def test_classify_computes_each_family_spectrum_once(monkeypatch):
@@ -364,17 +360,10 @@ def test_max_clique_matches_brute_force_on_random_graphs():
             assert truncated.expansions == budget + 1 and not truncated.optimal
             assert_clique(masks, truncated.vertices)
             assert truncated.size <= omega <= truncated.upper_bound
-
-        # a maximum clique without its universal vertices still primes the
-        # incumbent, and the search adds the universal vertices back
-        seed = [v for v in result.vertices if v not in universal]
-        primed = max_clique(universe, budget=0, seed=seed)
-        assert primed.size == omega
-        assert set(universal) <= set(primed.vertices)
     assert searched >= 20
 
 
-def reference_max_clique(universe, budget=maximality.DEFAULT_BUDGET, seed=()):
+def reference_max_clique(universe, budget=maximality.DEFAULT_BUDGET):
     """``max_clique`` with the bound counted plainly: the same coloring,
     relabelling, incumbent, branching order and budget rule, with the live
     color classes counted as a set over the candidates at every node."""
@@ -384,8 +373,6 @@ def reference_max_clique(universe, budget=maximality.DEFAULT_BUDGET, seed=()):
     label = {v: i for i, v in enumerate(order)}
     conflict = [{label[u] for u in label if universe.conflicts[v] >> u & 1} for v in order]
     best = [label[v] for v in maximality._greedy_clique(core, universe.conflicts)]
-    if len([v for v in seed if v in label]) > len(best):
-        best = [label[v] for v in seed if v in label]
     expansions = 0
 
     def expand(current, candidates):  # False once the budget is exhausted
@@ -427,12 +414,6 @@ def test_max_clique_traverses_like_the_reference_search():
         budget = rng.randrange(full.expansions + 1)
         assert max_clique(universe, budget=budget) == reference_max_clique(universe, budget)
         truncated += budget < full.expansions
-
-        seed = []  # a random maximal clique
-        for v in rng.sample(range(size), size):
-            if all(masks[v] >> u & 1 for u in seed):
-                seed.append(v)
-        assert max_clique(universe, budget, seed) == reference_max_clique(universe, budget, seed)
     assert truncated >= 100
 
 
@@ -450,40 +431,14 @@ def test_max_clique_complete_and_edgeless_graphs():
     assert empty.expansions == 0 and empty.upper_bound == 0
 
 
-def test_max_clique_rejects_a_seed_that_is_not_a_clique():
-    with pytest.raises(AssertionError):
-        max_clique(graph_universe([0, 0, 0]), seed=[0, 1])
-
-
-def test_seed_check_survives_optimized_mode():
-    # under -O an assert statement is stripped, and the bad seed would come
-    # back as the clique (0, 1, 2), reported optimal
-    script = (
-        "from jdist.maximality import CandidateUniverse, max_clique\n"
-        "universe = CandidateUniverse(((0,), (1,), (2,)), (0b010, 0b001, 0))\n"
-        "print(max_clique(universe, seed=[0, 1]))\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert done.returncode == 1, done.stdout
-    assert "AssertionError: seed is not a clique" in done.stderr
-
-
-def test_max_clique_9_4_witness_seed_speed():
-    # regression guard on the open case: 100,000 expansions from the
-    # 258-point witness took about 10 s with a recoloring at every node
+def test_max_clique_9_4_budget_speed():
+    # regression guard on the open case: 100,000 expansions took about 10 s
+    # with a recoloring at every node; the greedy incumbent already has 132
+    # vectors, as many as the best known extension
     params = Parameters(9, 4)
     u = universe_of(params)
-    seed = [u.index_of(p) for p in maximality._witness_vectors()]
     start = time.perf_counter()
-    result = max_clique(u, budget=100_000, seed=seed)
+    result = max_clique(u, budget=100_000)
     assert time.perf_counter() - start < 3.0
     assert result.expansions == 100_001 and not result.optimal
     assert result.size == 132
@@ -536,6 +491,17 @@ def test_witness_points():
     assert spectrum == (2, 4, 6, 8)
 
 
+def test_witness_vectors_are_a_clique_of_the_9_4_universe():
+    # the 132 added vectors are candidate points with no conflict among
+    # them, so the 258-point set is a clique extension of J(9, 4)
+    u = universe_of(Parameters(9, 4))
+    index = {p: i for i, p in enumerate(u.scaled)}
+    vertices = [index[p] for p in maximality._witness_vectors()]
+    assert len(vertices) == len(set(vertices)) == 132
+    chosen = sum(1 << v for v in vertices)
+    assert all(u.conflicts[v] & chosen == 0 for v in vertices)
+
+
 def test_classify_9_4_reports_open_conjecture():
     r = classify(Parameters(9, 4), budget=20_000)
     assert [(f.offset, f.counts) for f in r.addable] == [
@@ -545,13 +511,11 @@ def test_classify_9_4_reports_open_conjecture():
         (3, (8, 0, 1)),
     ]
     assert r.universe_size == 306
-    assert r.witness is not None and r.witness.verified and r.witness.size == 258
     assert r.added_count >= 132
     assert r.maximal_set_cardinality >= 258
     if not r.optimal:
         assert any("budget" in note for note in r.notes)
     payload = _classify_record(r)
-    assert payload["witness"]["size"] == 258
     assert payload["maximal_set_cardinality"] >= 258
 
 
