@@ -455,16 +455,28 @@ def _gram_row(forms, a: int, start: int, stop: int) -> Iterator[tuple[int, ...]]
 
 
 def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:
-    """Both exact roots of ``a*x^2 + b*x + c = 0``, minus-branch first."""
+    """Both exact roots of ``a*x^2 + b*x + c = 0``, minus-branch first.
+
+    The roots are ``-b/2a -+ (s/den)/2a * sqrt(f)``, built in normal form
+    from one squarefree split ``s*s*f`` of the discriminant's numerator
+    times its denominator ``den``, with no ring arithmetic.  A vanishing
+    discriminant gives one rational root, returned twice.  When the
+    discriminant is a rational square, ``f = 1`` and the constructor merges
+    the two radicand-1 terms into one rational root.
+    """
     a, b, c = _rational(a), _rational(b), _rational(c)
     if a == 0:
         raise ValueError("leading coefficient must be nonzero")
     disc = b * b - 4 * a * c
     if disc < 0:
         raise NegativeDiscriminant(f"discriminant {disc} < 0")
-    root = sqrt_rational(disc)
-    scale = Fraction(1, 2 * a)
-    return (QuadNum.of(-b) - root) * scale, (QuadNum.of(-b) + root) * scale
+    center = -b / (2 * a)
+    if disc == 0:
+        root = QuadNum.of(center)
+        return root, root
+    s, f = squarefree_decompose(disc.numerator * disc.denominator)
+    half = Fraction(s, disc.denominator) / (2 * a)
+    return QuadNum(((1, center), (f, -half))), QuadNum(((1, center), (f, half)))
 
 
 # -- serialization -------------------------------------------------------

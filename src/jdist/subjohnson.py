@@ -14,7 +14,10 @@ Only k in {0, 1, n-2} leaves at most two achievable overlap values, and
 solving the resulting quadratics exactly produces at most eight families
 (both root branches of four shapes); the deepest shape needs a
 non-negative discriminant 4n(10-n), hence n <= 10, with the two branches
-merging at n = 10.
+merging at n = 10.  Each quadratic is solved once, with its roots built
+directly in normal form; the roots are then read off as integers
+``(p + q sqrt(f)) / r``, so that each overlap's target and ``b`` are
+checked and built in integer arithmetic (:func:`solve_sub_families`).
 
 Which unions of families stay two-distance is decided per family from
 the overlap of upper slots (:func:`combination_search`), which unions are
@@ -123,6 +126,15 @@ def solve_sub_families(n: int) -> list[SubFamily]:
     force the pair (2, 4).  Any other k admits three overlaps and is
     impossible.  A vanishing discriminant merges the two branches into
     one family, reported with the '+' sign.
+
+    Each shape's quadratic ``A a^2 + B a + C_0 + 2 i - target = 0`` with
+    ``A = n(n-1)``, ``B = -2n(n-k+1)``, ``C_0 = (n-k+1)(n-k+2)`` is solved
+    once by :func:`solve_quadratic`.  Each root is then read off as
+    integers ``a = (p + q sqrt(f)) / r``, and every overlap's target is
+    checked exactly in integers: ``r^2 (sub_sq_dist(n, k, a, i) - target)``
+    has the rational part ``A(p^2 + q^2 f) + B p r + (C_0 + 2i - target) r^2``
+    and the sqrt(f) part ``q(2A p + B r)``, and both must vanish.  ``b`` is
+    built from the same integers, with no ring arithmetic.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
@@ -132,26 +144,47 @@ def solve_sub_families(n: int) -> list[SubFamily]:
         overlaps = overlap_range(n, k)
         if len(overlaps) > 2:
             raise AssertionError(f"shape k={k} admits {len(overlaps)} overlaps")
-        coeff_a = n * (n - 1)
-        coeff_b = -2 * n * (n - k + 1)
-        coeff_c = (n - k + 1) * (n - k + 2) + 2 * overlaps[0] - first_target
+        quad, lin, const = n * (n - 1), -2 * n * (n - k + 1), (n - k + 1) * (n - k + 2)
         try:
-            minus, plus = solve_quadratic(coeff_a, coeff_b, coeff_c)
+            minus, plus = solve_quadratic(quad, lin, const + 2 * overlaps[0] - first_target)
         except NegativeDiscriminant:
             continue
         branches = [("+", plus)] if minus == plus else [("+", plus), ("-", minus)]
         for sign, a in branches:
-            b = QuadNum.of(n - k + 1) - a * (n - 1)
+            p, q, f, r = _integer_root(a)
+            # b = (n-k+1) - (n-1)a; a list of pairs, so f = 1 merges, never drops
+            rational_b = Fraction((n - k + 1) * r - (n - 1) * p, r)
+            b = QuadNum([(1, rational_b), (f, Fraction(-(n - 1) * q, r))])
             fam = SubFamily(n, k, kind, sign, a, b)
             targets = {first_target + 2 * (i - overlaps[0]) for i in overlaps}
             for i2 in overlaps:
-                if sub_sq_dist(n, k, a, i2) != first_target + 2 * (i2 - overlaps[0]):
+                # r^2 (sub_sq_dist(n, k, a, i2) - target) = rational + q(2A p + B r) sqrt(f)
+                offset = const + 2 * i2 - (first_target + 2 * (i2 - overlaps[0]))
+                rational = quad * (p * p + q * q * f) + lin * p * r + offset * r * r
+                if rational or q * (2 * quad * p + lin * r):
                     raise AssertionError(f"{fam.label} misses its target at overlap {i2}")
             if not targets <= {2, 4}:
                 raise AssertionError(f"{fam.label} targets {sorted(targets)}")
             out.append(fam)
     out.sort(key=lambda f: (f.kind, f.sign))
     return out
+
+
+def _integer_root(a: QuadNum) -> tuple[int, int, int, int]:
+    """``(p, q, f, r)`` with ``a = (p + q sqrt(f)) / r`` and ``r > 0``;
+    ``q = 0`` and ``f = 1`` for a rational root.  A root over two irrational
+    radicands is no root of a rational quadratic and is refused."""
+    rational, f, radical = Fraction(0), 1, Fraction(0)
+    for rad, coeff in a.terms:
+        if rad == 1:
+            rational = coeff
+        elif f == 1:
+            f, radical = rad, coeff
+        else:
+            raise AssertionError(f"root {a} has more than one irrational radicand")
+    r = math.lcm(rational.denominator, radical.denominator)
+    p = rational.numerator * (r // rational.denominator)
+    return p, radical.numerator * (r // radical.denominator), f, r
 
 
 def sq_dist_points(p: Sequence, q: Sequence) -> QuadNum:

@@ -180,9 +180,11 @@ def test_rational_arithmetic_factors_nothing(monkeypatch):
     assert a == F(3, 4) and a != b and values[-1] == F(7, 3)
     assert calls == []
 
-    # the fixed-last-axis solve factors only its irrational radicands
+    # the fixed-last-axis solve factors each discriminant once, 272 = 4^2 * 17,
+    # 2448 = 12^2 * 17 and 1156 = 34^2 (negative for the last shape), and the
+    # constructor checks the squarefree radicand 17 of the roots and of b
     solve_sub_families(17)
-    assert calls and 1 not in calls
+    assert set(calls) == {272, 2448, 1156, 17}
 
 
 @pytest.mark.parametrize(

@@ -64,3 +64,20 @@ def test_complement_matching_digest(fmt, capsys):
     # classify 32 7 is the only report of the complement-matching structure
     # at this scale: 15,904 candidate points, 2**496 maximal cliques
     assert_digest("classify_32_7", ["classify", "32", "7"], fmt, capsys)
+
+
+SUB2_SWEEP = json.loads((GOLDEN / "sub2_sweep.digest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+def test_sub2_sweep_digests(fmt, capsys):
+    # every sub2 report of n = 4..40, 50, 64, 100, 150, 199, 200 and 1000 by
+    # exit code, length and sha256 of its output: n = 4 is refused with an
+    # empty report, every other n covers the perfect-square (n = 5, 8) and
+    # vanishing (n = 10) discriminants and the rational and radical roots
+    for n, pinned in SUB2_SWEEP.items():
+        assert main(["sub2", n, "--format", fmt]) == pinned["code"], n
+        captured = capsys.readouterr()
+        assert (captured.err == "") == (pinned["code"] == 0), n
+        data = captured.out.encode("utf-8")
+        assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == pinned[fmt], n

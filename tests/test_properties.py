@@ -10,7 +10,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from jdist.exactnum import IntPointSet, NegativeRadicand, QuadNum, format_quad, parse_quad
+from jdist.exactnum import (
+    IntPointSet,
+    NegativeDiscriminant,
+    NegativeRadicand,
+    QuadNum,
+    format_quad,
+    parse_quad,
+    solve_quadratic,
+    sqrt_rational,
+)
 
 RADICANDS = (1, 2, 3, 5, 6, 15, 21)
 
@@ -173,6 +182,63 @@ def test_quadnum_ring_matches_rebuilt_term_sums():
         assert a - c == QuadNum(ta + [(1, -c)])
         assert c - a == QuadNum([(rad, -coeff) for rad, coeff in ta] + [(1, c)])
         assert a * c == QuadNum([(rad, coeff * c) for rad, coeff in ta]) == c * a
+
+
+def test_solve_quadratic_matches_ring_formula():
+    # the roots built in normal form against (-b -+ sqrt(disc)) / 2a in ring
+    # arithmetic; the cases come from random rational coefficients and from
+    # a (x - x1)(x - x2) for a square, a vanishing and a negative discriminant
+    rng = random.Random(2468)
+
+    def small():
+        # small numerators and denominators keep every discriminant's
+        # numerator times denominator under the factorization bound
+        return F(rng.randrange(-12, 13), rng.randrange(1, 7))
+
+    seen = set()
+    for trial in range(600):
+        a = small() or F(1, rng.randrange(1, 5))
+        kind = trial % 4
+        if kind == 0:
+            b, c = small(), small()
+        elif kind == 1:  # rational roots x1, x2
+            x1, x2 = small(), small()
+            b, c = -a * (x1 + x2), a * x1 * x2
+        elif kind == 2:  # double root x1
+            x1 = small()
+            b, c = -2 * a * x1, a * x1 * x1
+        else:  # a (x - x1)^2 + a shift has no real root
+            x1, shift = small(), F(rng.randrange(1, 30), rng.randrange(1, 7))
+            b, c = -2 * a * x1, a * (x1 * x1 + shift)
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            seen.add("negative")
+            with pytest.raises(NegativeDiscriminant):
+                solve_quadratic(a, b, c)
+            continue
+        lo, hi = solve_quadratic(a, b, c)
+        root = sqrt_rational(disc)
+        assert lo == (QuadNum.of(-b) - root) * F(1, 2 * a), (a, b, c)
+        assert hi == (QuadNum.of(-b) + root) * F(1, 2 * a), (a, b, c)
+        for x in (lo, hi):
+            assert_normal_form(x)
+            assert a * x * x + b * x + c == 0
+        # the minus branch first: the smaller root when a > 0, the larger when a < 0
+        assert (lo <= hi) if a > 0 else (lo >= hi)
+        if disc == 0:
+            seen.add("zero")
+            assert lo == hi and lo.is_rational()
+        elif root.is_rational():
+            seen.add("square")
+            assert lo.is_rational() and hi.is_rational() and lo != hi
+        else:
+            seen.add("radical")
+            assert [rad for rad, _ in lo.terms][-1] == [rad for rad, _ in hi.terms][-1] > 1
+        seen.add("a > 0" if a > 0 else "a < 0")
+    assert seen == {"negative", "zero", "square", "radical", "a > 0", "a < 0"}
+    for b, c in ((0, 0), (1, F(-1, 2)), (F(3, 7), 5)):
+        with pytest.raises(ValueError):
+            solve_quadratic(0, b, c)
 
 
 def test_quadnum_validation_and_rational_hash():

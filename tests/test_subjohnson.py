@@ -8,7 +8,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from jdist.exactnum import IntPointSet, QuadNum, sqrt_rational
+import jdist.exactnum
+import jdist.subjohnson
+from jdist.exactnum import IntPointSet, QuadNum, squarefree_decompose, sqrt_rational
 from jdist.families import Parameters, johnson_points
 from jdist.subjohnson import (
     TWO_DISTANCE,
@@ -97,6 +99,93 @@ def test_family_census_by_n():
     assert [f.label for f in solve_sub_families(11)] == [
         "S1+", "S1-", "S2+", "S2-", "S3+", "S3-",
     ]
+
+
+def reference_families(n):
+    """(label, a, b) of every family, solved in QuadNum ring arithmetic:
+    both roots from sqrt_rational, b = (n-k+1) - (n-1)a, and each overlap
+    checked through sub_sq_dist."""
+    out = []
+    for kind, k, first_target in ((1, 0, 2), (2, 0, 4), (3, 1, 2), (4, n - 2, 2)):
+        overlaps = overlap_range(n, k)
+        coeff_a, coeff_b = n * (n - 1), -2 * n * (n - k + 1)
+        coeff_c = (n - k + 1) * (n - k + 2) + 2 * overlaps[0] - first_target
+        disc = F(coeff_b * coeff_b - 4 * coeff_a * coeff_c)
+        if disc < 0:
+            continue
+        root = sqrt_rational(disc)
+        minus = (QuadNum.of(-coeff_b) - root) * F(1, 2 * coeff_a)
+        plus = (QuadNum.of(-coeff_b) + root) * F(1, 2 * coeff_a)
+        for sign, a in [("+", plus)] if minus == plus else [("+", plus), ("-", minus)]:
+            for i2 in overlaps:
+                assert sub_sq_dist(n, k, a, i2) == first_target + 2 * (i2 - overlaps[0])
+            out.append((f"S{kind}{sign}", a, QuadNum.of(n - k + 1) - a * (n - 1)))
+    return sorted(out, key=lambda row: row[0])
+
+
+def test_solve_matches_ring_arithmetic_reference():
+    # the range holds the perfect-square discriminants (S3 and S4 at n = 5,
+    # S2 at n = 8) and the one vanishing discriminant (S4 at n = 10)
+    merged = []
+    for n in [*range(5, 201), 1000]:
+        got = [(f.label, f.a, f.b) for f in solve_sub_families(n)]
+        assert got == reference_families(n), n
+        labels = [label for label, _, _ in got]
+        if "S4+" in labels and "S4-" not in labels:
+            merged.append(n)
+    assert merged == [10]
+    rational = {n: {f.label for f in solve_sub_families(n) if f.a.is_rational()} for n in (5, 8)}
+    assert {"S3+", "S3-", "S4+", "S4-"} <= rational[5] and {"S2+", "S2-"} <= rational[8]
+
+
+def test_solve_checks_still_fail(monkeypatch):
+    # a wrong square part of the discriminant gives roots that miss their
+    # targets, which the integer checks catch
+    def wrong_square(n):
+        s, f = squarefree_decompose(n)
+        return s + 1, f
+
+    monkeypatch.setattr(jdist.exactnum, "squarefree_decompose", wrong_square)
+    with pytest.raises(AssertionError, match="misses its target at overlap"):
+        solve_sub_families(17)
+    monkeypatch.undo()
+
+    # so do roots moved by a rational amount or along their sqrt(17) term
+    true_solve = jdist.subjohnson.solve_quadratic
+    for shift in (QuadNum.of(F(1, 10**9)), QuadNum({17: F(1, 10**9)})):
+
+        def shifted(a, b, c, shift=shift):
+            minus, plus = true_solve(a, b, c)
+            return minus + shift, plus + shift
+
+        monkeypatch.setattr(jdist.subjohnson, "solve_quadratic", shifted)
+        with pytest.raises(AssertionError, match="S1[+] misses its target at overlap 2"):
+            solve_sub_families(17)
+
+    # the rational part of a root x + y sqrt(f) depends on (x - x0)^2 + f y^2
+    # only, x0 = -B/2A being the roots' centre; moving a root along that conic
+    # to (x0 - 2fy/(1+f), y(1-f)/(1+f)) leaves only the sqrt(f) part to fail
+    def on_conic(a, b, c):
+        moved = []
+        for root in true_solve(a, b, c):
+            if not root.is_rational():
+                (_, x0), (f, y) = root.terms
+                root = QuadNum([(1, x0 - 2 * f * y / (1 + f)), (f, y * (1 - f) / (1 + f))])
+            moved.append(root)
+        return tuple(moved)
+
+    monkeypatch.setattr(jdist.subjohnson, "solve_quadratic", on_conic)
+    with pytest.raises(AssertionError, match="S1[+] misses its target at overlap 2"):
+        solve_sub_families(17)
+
+    # a root over two irrational radicands is refused before any check
+    def two_radicands(a, b, c):
+        root = QuadNum({1: 1, 2: 1, 3: 1})
+        return root, root
+
+    monkeypatch.setattr(jdist.subjohnson, "solve_quadratic", two_radicands)
+    with pytest.raises(AssertionError, match="more than one irrational radicand"):
+        solve_sub_families(17)
 
 
 def test_middle_runs_admit_three_overlaps():
