@@ -4,20 +4,15 @@ Here the Johnson representation J(n-1, 2) sits inside R^n as
 ``(1, 1, 0, ..., 0, 0)`` permuted over the first n-1 coordinates only.  A
 vector that can join it while keeping the two distances sqrt(2) and 2 has
 the shape ``(a^k, (a-1)^(n-k-1), b)`` with ``b = -(n-1)a + (n-k+1)``
-pinned by the common hyperplane sum(x) = 2, and its squared distance to a
-Johnson point is
-
-    n(n-1) a^2 - 2n(n-k+1) a + (n-k+1)(n-k+2) + 2 i
-
-where i counts the ones of the Johnson point that land on (a-1)-slots.
-Only k in {0, 1, n-2} leaves at most two achievable overlap values, and
-solving the resulting quadratics exactly produces at most eight families
-(both root branches of four shapes); the deepest shape needs a
-non-negative discriminant 4n(10-n), hence n <= 10, with the two branches
-merging at n = 10.  Each quadratic is solved once, with its roots built
-directly in normal form; the roots are then read off as integers
-``(p + q sqrt(f)) / r``, so that each overlap's target and ``b`` are
-checked and built in integer arithmetic (:func:`solve_sub_families`).
+pinned by the common hyperplane sum(x) = 2.  The first points (upper slots
+leading) of two such shapes, with ``d = a - a'`` and ``e = k' - k``, lie
+``n(n-1) d^2 - 2n e d + |e| + e^2`` apart squared, and the Johnson points
+are the family a = 1, k = 2.  Only k in {0, 1, n-2} leaves at most two
+achievable overlaps with a Johnson point, so solving this form in integers,
+roots ``(p + q sqrt(f)) / r``, gives at most eight families (both branches
+of four shapes); the deepest shape needs a non-negative discriminant
+4n(10-n), hence n <= 10, with the two branches merging at n = 10
+(:func:`solve_sub_families`).
 
 Which unions of families stay two-distance is decided per family from
 the overlap of upper slots (:func:`combination_search`), which unions are
@@ -31,10 +26,11 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import IntPointSet, NegativeDiscriminant, QuadNum, solve_quadratic
+from .exactnum import IntPointSet, QuadNum, squarefree_decompose
 
 TWO_DISTANCE = (2, 4)
 
@@ -45,15 +41,30 @@ class SubFamily:
 
     ``kind`` indexes the construction: 1 = empty run with near distance,
     2 = empty run with far distance, 3 = single repeated slot,
-    4 = almost-full run (n <= 10 only).  ``sign`` is the root branch.
+    4 = almost-full run (n <= 10 only).  ``sign`` is the branch of the root
+    ``a = (p + q sqrt(f)) / r``; ``q = 0`` and ``f = 1`` when it is rational.
     """
 
     n: int
     k: int
     kind: int
     sign: str
-    a: QuadNum
-    b: QuadNum
+    p: int
+    q: int
+    f: int
+    r: int
+
+    def _value(self, p: int, q: int) -> QuadNum:
+        return QuadNum([(1, Fraction(p, self.r)), (self.f, Fraction(q, self.r))])
+
+    @cached_property
+    def a(self) -> QuadNum:
+        return self._value(self.p, self.q)
+
+    @cached_property
+    def b(self) -> QuadNum:
+        n, k = self.n, self.k
+        return self._value((n - k + 1) * self.r - (n - 1) * self.p, -(n - 1) * self.q)
 
     @property
     def label(self) -> str:
@@ -65,7 +76,7 @@ class SubFamily:
 
     def points(self) -> tuple[tuple[QuadNum, ...], ...]:
         n, k = self.n, self.k
-        low = self.a - 1
+        low = self._value(self.p - self.r, self.q)
         out = []
         for support in itertools.combinations(range(n - 1), k):
             point = [low] * (n - 1)
@@ -127,64 +138,46 @@ def solve_sub_families(n: int) -> list[SubFamily]:
     impossible.  A vanishing discriminant merges the two branches into
     one family, reported with the '+' sign.
 
-    Each shape's quadratic ``A a^2 + B a + C_0 + 2 i - target = 0`` with
-    ``A = n(n-1)``, ``B = -2n(n-k+1)``, ``C_0 = (n-k+1)(n-k+2)`` is solved
-    once by :func:`solve_quadratic`.  Each root is then read off as
-    integers ``a = (p + q sqrt(f)) / r``, and every overlap's target is
-    checked exactly in integers: ``r^2 (sub_sq_dist(n, k, a, i) - target)``
-    has the rational part ``A(p^2 + q^2 f) + B p r + (C_0 + 2i - target) r^2``
-    and the sqrt(f) part ``q(2A p + B r)``, and both must vanish.  ``b`` is
-    built from the same integers, with no ring arithmetic.
+    Each shape solves ``A d^2 + B d + C = 0``, the first-point form of the
+    module docstring at ``d = a - 1``, ``e = 2 - k`` and the shape's first
+    target, in integers: one squarefree split ``s*s*f`` of the
+    discriminant gives ``d = (-B -+ s sqrt(f)) / 2A``.  Later overlaps add
+    2 each, so one exact check per root covers every target.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     out: list[SubFamily] = []
     shapes = ((1, 0, 2), (2, 0, 4), (3, 1, 2), (4, n - 2, 2))
     for kind, k, first_target in shapes:
-        overlaps = overlap_range(n, k)
-        if len(overlaps) > 2:
-            raise AssertionError(f"shape k={k} admits {len(overlaps)} overlaps")
-        quad, lin, const = n * (n - 1), -2 * n * (n - k + 1), (n - k + 1) * (n - k + 2)
-        try:
-            minus, plus = solve_quadratic(quad, lin, const + 2 * overlaps[0] - first_target)
-        except NegativeDiscriminant:
+        targets = range(first_target, first_target + 2 * len(overlap_range(n, k)), 2)
+        if not set(TWO_DISTANCE).issuperset(targets):
+            raise AssertionError(f"shape k={k} targets {list(targets)}")
+        quad, lin, const = form = _distance_form(n, 2 - k, first_target)
+        disc = lin * lin - 4 * quad * const
+        if disc < 0:
             continue
-        branches = [("+", plus)] if minus == plus else [("+", plus), ("-", minus)]
-        for sign, a in branches:
-            p, q, f, r = _integer_root(a)
-            # b = (n-k+1) - (n-1)a; a list of pairs, so f = 1 merges, never drops
-            rational_b = Fraction((n - k + 1) * r - (n - 1) * p, r)
-            b = QuadNum([(1, rational_b), (f, Fraction(-(n - 1) * q, r))])
-            fam = SubFamily(n, k, kind, sign, a, b)
-            targets = {first_target + 2 * (i - overlaps[0]) for i in overlaps}
-            for i2 in overlaps:
-                # r^2 (sub_sq_dist(n, k, a, i2) - target) = rational + q(2A p + B r) sqrt(f)
-                offset = const + 2 * i2 - (first_target + 2 * (i2 - overlaps[0]))
-                rational = quad * (p * p + q * q * f) + lin * p * r + offset * r * r
-                if rational or q * (2 * quad * p + lin * r):
-                    raise AssertionError(f"{fam.label} misses its target at overlap {i2}")
-            if not targets <= {2, 4}:
-                raise AssertionError(f"{fam.label} targets {sorted(targets)}")
-            out.append(fam)
-    out.sort(key=lambda f: (f.kind, f.sign))
+        s, f = squarefree_decompose(disc) if disc else (0, 1)
+        r = 2 * quad
+        for sign, q in [("+", s), ("-", -s)] if s else [("+", 0)]:
+            p, q = (r - lin + q, 0) if f == 1 else (r - lin, q)  # a = d + 1
+            if not _vanishes(form, p - r, q, f, r):
+                raise AssertionError(f"S{kind}{sign} misses its target {first_target}")
+            out.append(SubFamily(n, k, kind, sign, p, q, f, r))
     return out
 
 
-def _integer_root(a: QuadNum) -> tuple[int, int, int, int]:
-    """``(p, q, f, r)`` with ``a = (p + q sqrt(f)) / r`` and ``r > 0``;
-    ``q = 0`` and ``f = 1`` for a rational root.  A root over two irrational
-    radicands is no root of a rational quadratic and is refused."""
-    rational, f, radical = Fraction(0), 1, Fraction(0)
-    for rad, coeff in a.terms:
-        if rad == 1:
-            rational = coeff
-        elif f == 1:
-            f, radical = rad, coeff
-        else:
-            raise AssertionError(f"root {a} has more than one irrational radicand")
-    r = math.lcm(rational.denominator, radical.denominator)
-    p = rational.numerator * (r // rational.denominator)
-    return p, radical.numerator * (r // radical.denominator), f, r
+def _distance_form(n: int, e: int, target: int) -> tuple[int, int, int]:
+    """``(A, B, C)`` with first points ``target`` apart squared iff ``A d^2 + B d + C = 0``."""
+    return n * (n - 1), -2 * n * e, abs(e) + e * e - target
+
+
+def _vanishes(form: tuple[int, int, int], p: int, q: int, f: int, r: int) -> bool:
+    """Whether ``A d^2 + B d + C = 0`` at ``d = (p + q sqrt(f)) / r``, with
+    ``q = 0`` when ``f = 1``: ``r^2`` times the form has the rational part
+    ``A(p^2 + q^2 f) + B p r + C r^2`` and the sqrt(f) part ``q(2A p + B r)``."""
+    quad, lin, const = form
+    rational = quad * (p * p + q * q * f) + lin * p * r + const * r * r
+    return not (rational or q * (2 * quad * p + lin * r))
 
 
 def sq_dist_points(p: Sequence, q: Sequence) -> QuadNum:
@@ -213,21 +206,27 @@ def combination_search(n: int) -> CombinationReport:
     (n-1)(a-1)(a'-1) + k(a'-1) + k'(a-1) + bb' + |S & S'|``.  Norms are
     constant on an orbit, so ``|p - q|^2 = C - 2|S & S'|`` over the overlaps
     ``max(0, k + k' - (n-1)) .. min(k, k')``.  The first points of two
-    families overlap in min(k, k') slots: their squared distance, the one
-    pair keyed, starts that progression.  Two points of one family at overlap
-    t differ by 1 on 2(k - t) coordinates: 2, 4, ..., 2 min(k, n-1-k).
+    families overlap in min(k, k') slots: their squared distance, the
+    module's form in integers, starts that progression (never rational over
+    two irrational radicands).  Two points of one family at overlap t
+    differ by 1 on 2(k - t) coordinates: 2, 4, ..., 2 min(k, n-1-k).
     """
     families = solve_sub_families(n)
     allowed = set(TWO_DISTANCE)
     intra = tuple(allowed.issuperset(range(2, 2 * min(f.k, n - f.k - 1) + 1, 2)) for f in families)
     usable = [i for i, ok in enumerate(intra) if ok]
-    exact = IntPointSet([(f.a,) * f.k + (f.a - 1,) * (n - f.k - 1) + (f.b,) for f in families])
 
     def two_distance(i: int, j: int) -> bool:
-        k, k2 = families[i].k, families[j].k
+        one, two = families[i], families[j]
+        if one.q and two.q and one.f != two.f:
+            return False
+        k, k2 = one.k, two.k
         steps = range(min(k, k2) - max(0, k + k2 - n + 1) + 1)
         starts = [d for d in TWO_DISTANCE if allowed.issuperset(d + 2 * s for s in steps)]
-        return exact.value_of(exact.row_keys(i, j, j + 1)[0]) in starts
+        # d = a - a' = (p + q sqrt(f)) / r over the one radicand left
+        p, q = one.p * two.r - two.p * one.r, one.q * two.r - two.q * one.r
+        f, r = one.f if one.q else two.f, one.r * two.r
+        return any(_vanishes(_distance_form(n, k2 - k, t), p, q, f, r) for t in starts)
 
     compatible = {(i, j): two_distance(i, j) for i, j in itertools.combinations(usable, 2)}
 

@@ -472,6 +472,20 @@ def test_sub2_large_n_up_to_the_factorization_bound(capsys):
         assert code == 0, n
         assert f"  johnson points: {math.comb(n - 1, 2)}" in out.splitlines(), n
 
+    # the largest n below the bound, in a child process that reports its own
+    # peak RSS (ru_maxrss is in kilobytes on Linux): no point is built, so
+    # the peak stays that of the interpreter
+    child = (
+        "import resource, sys; from jdist.cli import main; code = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "sub2", "353552"], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"  johnson points: {math.comb(353551, 2)}" in proc.stdout.splitlines()
+    assert int(proc.stderr) < 100 * 1024
+
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "jdist.cli", "sub2", "353553"],

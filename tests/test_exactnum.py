@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import jdist.exactnum
+import jdist.subjohnson
 from jdist.exactnum import (
     NegativeDiscriminant,
     NegativeRadicand,
@@ -181,10 +182,14 @@ def test_rational_arithmetic_factors_nothing(monkeypatch):
     assert calls == []
 
     # the fixed-last-axis solve factors each discriminant once, 272 = 4^2 * 17,
-    # 2448 = 12^2 * 17 and 1156 = 34^2 (negative for the last shape), and the
-    # constructor checks the squarefree radicand 17 of the roots and of b
-    solve_sub_families(17)
-    assert set(calls) == {272, 2448, 1156, 17}
+    # 2448 = 12^2 * 17 and 1156 = 34^2 (negative for the last shape); the
+    # roots and b are built on first use, where the constructor checks the
+    # squarefree radicand 17 of the irrational ones
+    monkeypatch.setattr(jdist.subjohnson, "squarefree_decompose", counted)
+    families = solve_sub_families(17)
+    assert calls == [272, 2448, 1156]
+    assert all(f.a and f.b for f in families)
+    assert set(calls[3:]) == {17}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ from jdist.families import Parameters, johnson_points
 from jdist.subjohnson import (
     TWO_DISTANCE,
     SubFamily,
+    _distance_form,
+    _vanishes,
     combination_search,
     congruent,
     overlap_range,
@@ -140,52 +142,39 @@ def test_solve_matches_ring_arithmetic_reference():
 
 def test_solve_checks_still_fail(monkeypatch):
     # a wrong square part of the discriminant gives roots that miss their
-    # targets, which the integer checks catch
+    # target, which the integer check catches
     def wrong_square(n):
         s, f = squarefree_decompose(n)
         return s + 1, f
 
-    monkeypatch.setattr(jdist.exactnum, "squarefree_decompose", wrong_square)
-    with pytest.raises(AssertionError, match="misses its target at overlap"):
+    monkeypatch.setattr(jdist.subjohnson, "squarefree_decompose", wrong_square)
+    with pytest.raises(AssertionError, match="S1[+] misses its target 2"):
         solve_sub_families(17)
     monkeypatch.undo()
 
-    # so do roots moved by a rational amount or along their sqrt(17) term
-    true_solve = jdist.subjohnson.solve_quadratic
-    for shift in (QuadNum.of(F(1, 10**9)), QuadNum({17: F(1, 10**9)})):
+    # the closed form fails on either part alone: at n = 17, S1+ has
+    # d = a - 1 = (34 + 2 sqrt(17)) / 272 on the form at e = 2, target 2
+    form = _distance_form(17, 2, 2)
+    assert _vanishes(form, 34, 2, 17, 272)
 
-        def shifted(a, b, c, shift=shift):
-            minus, plus = true_solve(a, b, c)
-            return minus + shift, plus + shift
+    def value(p, q, f, r):
+        d = QuadNum([(1, F(p, r)), (f, F(q, r))])
+        quad, lin, const = form
+        return d * d * quad + d * lin + const
 
-        monkeypatch.setattr(jdist.subjohnson, "solve_quadratic", shifted)
-        with pytest.raises(AssertionError, match="S1[+] misses its target at overlap 2"):
-            solve_sub_families(17)
-
-    # the rational part of a root x + y sqrt(f) depends on (x - x0)^2 + f y^2
-    # only, x0 = -B/2A being the roots' centre; moving a root along that conic
-    # to (x0 - 2fy/(1+f), y(1-f)/(1+f)) leaves only the sqrt(f) part to fail
-    def on_conic(a, b, c):
-        moved = []
-        for root in true_solve(a, b, c):
-            if not root.is_rational():
-                (_, x0), (f, y) = root.terms
-                root = QuadNum([(1, x0 - 2 * f * y / (1 + f)), (f, y * (1 - f) / (1 + f))])
-            moved.append(root)
-        return tuple(moved)
-
-    monkeypatch.setattr(jdist.subjohnson, "solve_quadratic", on_conic)
-    with pytest.raises(AssertionError, match="S1[+] misses its target at overlap 2"):
-        solve_sub_families(17)
-
-    # a root over two irrational radicands is refused before any check
-    def two_radicands(a, b, c):
-        root = QuadNum({1: 1, 2: 1, 3: 1})
-        return root, root
-
-    monkeypatch.setattr(jdist.subjohnson, "solve_quadratic", two_radicands)
-    with pytest.raises(AssertionError, match="more than one irrational radicand"):
-        solve_sub_families(17)
+    # the roots' centre 34/272 zeroes the sqrt(17) part for any q, so a
+    # wrong q leaves only the rational part to fail
+    missed = value(34, 4, 17, 272)
+    assert missed.is_rational() and missed
+    assert not _vanishes(form, 34, 4, 17, 272)
+    # the rational part depends on (x - x0)^2 + f y^2 only; moving the root
+    # x0 + y sqrt(f) along that conic to (x0 - 2fy/(1+f), y(1-f)/(1+f))
+    # leaves only the sqrt(17) part to fail
+    moved = (34 * 18 - 2 * 17 * 2, 2 * (1 - 17), 17, 272 * 18)
+    assert [rad for rad, _ in value(*moved).terms] == [17]
+    assert not _vanishes(form, *moved)
+    # a rational root misses by its rational part alone
+    assert not _vanishes(form, 35, 0, 1, 272)
 
 
 def test_middle_runs_admit_three_overlaps():
@@ -296,6 +285,12 @@ def test_combination_search_agrees_with_every_pair(n):
         if two_distance(i, j)
     }
     assert {c.labels for c in report.combinations if len(c.labels) == 2} == pairs
+    if n == 6:
+        # a usable pair over two different irrational radicands, refused
+        # before any form is tested, stays covered by the oracle
+        radicand = {f.label: f.a.terms[-1][0] for f in families}
+        assert (radicand["S1+"], radicand["S2+"]) == (6, 21)
+        assert {"S1+", "S2+"} <= {families[i].label for i in usable}
 
 
 def test_combination_search_materializes_no_orbit(monkeypatch, capsys):
