@@ -27,6 +27,7 @@ import json
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import subjohnson
 from .exactnum import format_ratio, parse_quad
@@ -98,6 +99,68 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+# -- JSON: the bytes of json.dumps(value, indent=2) --------------------------
+#
+# The stdlib C encoder serves only indent=None; with an indent every call
+# runs the pure-Python encoder.  Reports hold str-keyed dicts, lists and the
+# scalars below, matched by exact type, so a float, a tuple, an int subclass
+# such as an IntEnum member, or a key that is not a str raises TypeError.
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value, newline: str, chunks: list) -> None:
+    """Append the dict or list ``value`` to ``chunks``; ``newline`` breaks a
+    line and indents it to the depth of ``value``'s own line."""
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"a report cannot hold {kind.__name__} {value!r}")
+    if not value:
+        chunks.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    scalars = _JSON_SCALARS
+    if kind is dict:
+        sep = "{" + inner
+        for key, item in value.items():
+            head = sep + encode_basestring_ascii(key) + ": "  # TypeError unless a str
+            scalar = scalars.get(type(item))
+            if scalar is None:
+                chunks.append(head)
+                _write_json(item, inner, chunks)
+            else:
+                chunks.append(head + scalar(item))
+            sep = comma
+        chunks.append(newline + "}")
+    else:
+        sep = "[" + inner
+        for item in value:
+            scalar = scalars.get(type(item))
+            if scalar is None:
+                chunks.append(sep)
+                _write_json(item, inner, chunks)
+            else:
+                chunks.append(sep + scalar(item))
+            sep = comma
+        chunks.append(newline + "]")
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for report values."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    chunks: list[str] = []
+    _write_json(value, "\n", chunks)
+    return "".join(chunks)
+
+
 def _records(columns, records) -> list:
     """CSV table of flat dicts: the header, then one row per record."""
     columns = tuple(columns)
@@ -114,28 +177,44 @@ def _columns(widths, rows) -> list:
 # -- report records: one builder per JSON record kind ----------------------
 
 
-def _family_record(fam, **extra) -> dict:
-    """A candidate family; the ``extra`` keys follow the family's own."""
-    n = fam.params.n
+class _Ratios(dict):
+    """Numerator -> ``format_ratio(numerator, n)``, each formatted on first use.
+
+    One report makes one and drops it: a listing repeats a few dozen
+    numerators thousands of times."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, num: int) -> str:
+        text = self[num] = format_ratio(num, self.n)
+        return text
+
+
+def _family_record(fam, ratios: _Ratios, **extra) -> dict:
+    """A candidate family, its levels formatted by ``ratios`` (over the
+    family's n); the ``extra`` keys follow the family's own."""
     return {
-        "n": n,
+        "n": fam.params.n,
         "m": fam.params.m,
         "k0": fam.offset,
         "k": list(fam.counts),
         "size": fam.size,
-        "levels": [format_ratio(v, n) for v in fam.scaled_levels()],
+        "levels": [ratios[v] for v in fam.scaled_levels()],
         **extra,
     }
 
 
 def _classify_record(report) -> dict:
     params = report.params
+    ratios = _Ratios(params.n)
     record = {
         "n": params.n,
         "m": params.m,
         "johnson_size": params.johnson_size,
         "addable_families": [
-            _family_record(f, johnson_spectrum=[str(v) for v in s])
+            _family_record(f, ratios, johnson_spectrum=[str(v) for v in s])
             for f, s in zip(report.addable, report.johnson_spectra)
         ],
         "universe_size": report.universe_size,
@@ -210,12 +289,13 @@ def _cmd_families(config: argparse.Namespace) -> Report:
             )
         families = enumerate_families(params)
     n, m = config.n, config.m
+    ratios = _Ratios(n)  # levels and peaks share the denominator n
     entries = []
     for fam in families:
         peak = scaled_peak(fam)
         entries.append(
             _family_record(
-                fam, addable=peak_is_addable(fam, peak), peak_sq_dist=format_ratio(peak, n)
+                fam, ratios, addable=peak_is_addable(fam, peak), peak_sq_dist=ratios[peak]
             )
         )
     results = {"n": n, "m": m, "count": len(entries), "families": entries}
@@ -290,10 +370,11 @@ def _cmd_tables(config: argparse.Namespace) -> Report:
     entries = []
     for n in ns + [n for n in expected if n not in ns]:
         report = classify(Parameters(n, m), budget=TABLE_SEARCH_BUDGET) if n in ns else None
+        ratios = _Ratios(n)
         entries.append(
             {
                 "n": n,
-                "families": [_family_record(f) for f in report.addable] if report else [],
+                "families": [_family_record(f, ratios) for f in report.addable] if report else [],
                 "added": report.added_count if report else None,
                 "total": report.maximal_set_cardinality if report else None,
                 "optimal": report.optimal if report else None,
@@ -461,7 +542,7 @@ def run(config: argparse.Namespace, stream=None) -> int:
             "arguments": _public_arguments(config),
             "results": report.results,
         }
-        payload = json.dumps(envelope, indent=2) + "\n"
+        payload = encode_json(envelope) + "\n"
     elif config.fmt == "csv":
         buffer = io.StringIO()
         csv.writer(buffer).writerows(report.rows)

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .exactnum import squarefree_decompose
@@ -71,13 +72,13 @@ class CandidateFamily:
     def __post_init__(self) -> None:
         n, m = self.params.n, self.params.m
         k = self.counts
-        if not k or k[0] <= 0 or k[-1] <= 0 or any(v < 0 for v in k):
+        if not k or k[0] <= 0 or k[-1] <= 0 or min(k) < 0:
             raise ValueError(f"counts {k} not in canonical form")
         if len(k) > m:
             raise ValueError(f"too many levels: {len(k)} > m={m}")
         if sum(k) != n:
             raise ValueError(f"counts {k} do not sum to n={n}")
-        if sum(j * v for j, v in enumerate(k, 1)) != 2 * n - self.offset - m:
+        if sum(map(mul, k, range(1, len(k) + 1))) != 2 * n - self.offset - m:
             raise ValueError(f"counts {k} violate the hyperplane condition for offset={self.offset}")
 
     @staticmethod

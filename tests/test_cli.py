@@ -21,7 +21,8 @@ from jdist.cli import (
     main,
     run,
 )
-from jdist.families import Parameters, enumerate_families, max_sq_dist
+from jdist.exactnum import format_ratio
+from jdist.families import CandidateFamily, Parameters, enumerate_families, max_sq_dist, scaled_peak
 from jdist.maximality import DEFAULT_CAP, classify
 from jdist.numbertheory import is_extendable, max_extendable_n
 
@@ -240,6 +241,26 @@ def test_output_path_that_cannot_be_written(where, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write report: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, m", [(12, 3), (36, 3), (16, 4)])
+def test_families_listing_formats_each_family_own_values(n, m, capsys):
+    # a listing formats each distinct numerator over n once; every level and
+    # peak must still be its own family's, over several reduced denominators
+    assert main(["families", str(n), str(m), "--format", "json"]) == 0
+    first = capsys.readouterr().out
+    listed = json.loads(first)["results"]["families"]
+    assert len(listed) == len(list(enumerate_families(Parameters(n, m))))
+    denominators = set()
+    for e in listed:
+        fam = CandidateFamily(Parameters(n, m), e["k0"], tuple(e["k"]))
+        assert e["levels"] == [format_ratio(v, n) for v in fam.scaled_levels()], e
+        assert e["peak_sq_dist"] == format_ratio(scaled_peak(fam), n), e
+        denominators.update(text.partition("/")[2] or "1" for text in e["levels"])
+    assert len(denominators) > 3
+    # nothing carries over from one call to the next
+    assert main(["families", str(n), str(m), "--format", "json"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_determinism_byte_identical():

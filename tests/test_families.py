@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from jdist import families
-from jdist.cli import _family_record
+from jdist.cli import _family_record, _Ratios
 from jdist.families import (
     CandidateFamily,
     NotReducible,
@@ -69,12 +69,20 @@ def test_johnson_points_on_hyperplane_with_pair_distances():
 def test_candidate_family_validation():
     f = fam(9, 2, 6, (8, 1))
     assert f.levels == (F(1, 3), F(-2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"violate the hyperplane condition for offset=5"):
         fam(9, 2, 5, (8, 1))  # hyperplane sum off
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"counts \(8, 0\) not in canonical form"):
         fam(9, 2, 6, (8, 0))  # trailing zero not canonical
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"counts \(0, 9\) not in canonical form"):
+        fam(9, 2, 0, (0, 9))  # leading zero not canonical
+    with pytest.raises(ValueError, match=r"counts \(5, -1, 5\) not in canonical form"):
+        fam(9, 3, -3, (5, -1, 5))  # a negative inner count, on the hyperplane
+    with pytest.raises(ValueError, match=r"counts \(\) not in canonical form"):
+        fam(9, 2, 0, ())
+    with pytest.raises(ValueError, match=r"too many levels: 3 > m=2"):
         fam(9, 2, 15, (1, 7, 1))  # too many levels for m = 2
+    with pytest.raises(ValueError, match=r"counts \(7, 1\) do not sum to n=9"):
+        fam(9, 2, 7, (7, 1))
 
 
 def test_canonical_folds_edges():
@@ -180,10 +188,12 @@ def small_sizes():
 
 def test_json_levels_are_fraction_text():
     # the report's family record formats the scaled integer levels without
-    # building Fractions
+    # building Fractions, through one memo shared by every family of a listing
     for n, m in small_sizes():
+        ratios = _Ratios(n)
         for f in enumerate_families(Parameters(n, m)):
-            assert _family_record(f)["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
+            record = _family_record(f, ratios)
+            assert record["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
 
 
 def test_is_addable_is_the_scaled_peak_rule():

@@ -1,15 +1,19 @@
-"""Property tests: integer point keys and serialization against QuadNum arithmetic.
+"""Property tests: integer point keys and serialization against QuadNum
+arithmetic, and the report JSON encoder against the stdlib one.
 
 Random inputs come from seeded ``random.Random`` streams, so every run
 checks the same cases.
 """
 
+import enum
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from jdist.cli import encode_json
 from jdist.exactnum import (
     IntPointSet,
     NegativeDiscriminant,
@@ -258,3 +262,69 @@ def test_quadnum_validation_and_rational_hash():
         assert q.is_rational() and q == value
         assert hash(q) == hash(value)
         assert hash(QuadNum.of(value.numerator)) == hash(value.numerator)
+
+
+# characters that JSON writes in different ways: quote, backslash, control
+# characters, DEL, non-ASCII, non-BMP and lone surrogates (a file path from
+# argv can carry them)
+JSON_CHARS = '"\\/ az\x00\x08\t\n\x0c\r\x1f\x7f\xe9\u2028\u20ac\u4e2d\U0001f600\ud800\udfff'
+JSON_INTS = (0, 1, -1, 7, -42, 2**63, -(2**63) - 1, 2**496, -(2**496))
+
+
+def rand_json_text(rng):
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(5)))
+
+
+def rand_json_scalar(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rand_json_text(rng)
+    if kind == 1:
+        return rng.choice(JSON_INTS + tuple(range(-5, 6)))
+    if kind == 2:
+        return rng.choice((True, False, 1, 0))  # a bool next to an equal int
+    return None
+
+
+def rand_json_tree(rng, depth=0):
+    """A dict or list of up to four items; containers nest up to five levels."""
+    nest = depth < 4
+    items = [
+        rand_json_tree(rng, depth + 1) if nest and rng.random() < 0.3 else rand_json_scalar(rng)
+        for _ in range(rng.randrange(5))
+    ]
+    if rng.random() < 0.5:
+        return items
+    return {f"k{i}" + rand_json_text(rng): item for i, item in enumerate(items)}
+
+
+def test_encode_json_matches_stdlib_indent_2():
+    rng = random.Random(19)
+    fixed = [
+        {
+            "": [[], {}, [[]], {"": {}}],
+            'q"\\\n\x00\x7f\xe9\U0001f600\ud800': [True, 1, False, 0, None, -3, 2**496],
+        },
+        *JSON_INTS,
+        JSON_CHARS,
+        True,
+        None,
+    ]
+    for tree in fixed + [rand_json_tree(rng) for _ in range(250)]:
+        assert encode_json(tree) == json.dumps(tree, indent=2), tree
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), Level.ONE, {1: "a"}, {"a": [0.0]}, [{"b": (1,)}], {"c": Level.ONE}, {None: 1}],
+    ids=repr,
+)
+def test_encode_json_refuses_other_types(value):
+    # json.dumps writes each of these (a float, a tuple as a list, an IntEnum
+    # as its int, an int key as a string); a report never holds one
+    with pytest.raises(TypeError):
+        encode_json(value)
