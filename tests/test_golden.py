@@ -1,12 +1,16 @@
 """Byte-for-byte reports: every format of a set of CLI runs against files in golden/."""
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jdist.cli import main
+from jdist.cli import config_from_args, main
+from jdist.families import CandidateFamily, Parameters
+from jdist.maximality import classify
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -19,8 +23,12 @@ CASES = [
     ("families_9_2_addable", ["families", "9", "2", "--addable"], 0),
     ("families_9_3", ["families", "9", "3"], 0),
     ("families_49_5_addable", ["families", "49", "5", "--addable"], 0),
+    ("classify_9_2", ["classify", "9", "2"], 0),
+    ("classify_10_2", ["classify", "10", "2"], 0),
     ("classify_9_3", ["classify", "9", "3"], 0),
     ("classify_9_4_budget_2000", ["classify", "9", "4", "--budget", "2000"], 3),
+    ("classify_9_4_cap_100", ["classify", "9", "4", "--cap", "100"], 3),
+    ("classify_25_8", ["classify", "25", "8"], 3),
     ("tables_m3", ["tables", "--m", "3"], 0),
     ("tables_m4", ["tables", "--m", "4"], 3),
     ("tables_m5", ["tables", "--m", "5"], 0),
@@ -40,6 +48,38 @@ def test_report_bytes(stem, argv, code, fmt, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / f"{stem}.{SUFFIX[fmt]}").read_bytes()
+
+
+# the library returns structure only: each classify run walks its report down
+# to these leaves, and every line of the reports above is worded in cli.py
+REPORT_LEAVES = (CandidateFamily, Parameters, int, Fraction, type(None))
+
+
+def text_in(value, path: str) -> list:
+    """The paths inside ``value`` that hold anything but a leaf, a tuple or a
+    dataclass made of them, a ``str`` above all."""
+    if isinstance(value, REPORT_LEAVES):
+        return []
+    if isinstance(value, tuple):
+        return [p for i, item in enumerate(value) for p in text_in(item, f"{path}[{i}]")]
+    if dataclasses.is_dataclass(value):
+        return [
+            p
+            for field in dataclasses.fields(value)
+            for p in text_in(getattr(value, field.name), f"{path}.{field.name}")
+        ]
+    return [f"{path}: {type(value).__name__}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, id=stem) for stem, argv, _ in CASES if argv[0] == "classify"]
+    + [pytest.param(["classify", "32", "7"], id="classify_32_7")],  # the digest case
+)
+def test_classification_report_holds_no_text(argv):
+    config = config_from_args(argv)
+    report = classify(Parameters(config.n, config.m), budget=config.budget, cap=config.cap)
+    assert text_in(report, "report") == []
 
 
 def assert_digest(stem, argv, fmt, capsys):

@@ -35,8 +35,7 @@ from jdist.numbertheory import max_extendable_n
 
 def universe_of(params, cap=maximality.DEFAULT_CAP):
     """The universe of an instance, built from its family pass as ``classify`` does."""
-    families, _, pairs = family_pass(params)
-    return build_universe(params, families, pairs, cap)
+    return build_universe(family_pass(params), cap)
 
 
 def test_build_universe_9_2_complete():
@@ -128,8 +127,8 @@ def test_orbit_built_conflicts_match_all_pairs():
         assert u.conflicts == brute_force_conflicts(u, Parameters(n, m)), (n, m)
 
     # the oracle itself, against the plain squared distance on (9, 4)
-    families, _, pairs = family_pass(Parameters(9, 4))
-    u = build_universe(Parameters(9, 4), families, pairs, maximality.DEFAULT_CAP)
+    graph = family_pass(Parameters(9, 4))
+    u = build_universe(graph, maximality.DEFAULT_CAP)
     conflicts = brute_force_conflicts(u, Parameters(9, 4))
     for i, p in enumerate(u.scaled):
         for j, q in enumerate(u.scaled):
@@ -137,7 +136,7 @@ def test_orbit_built_conflicts_match_all_pairs():
             assert (conflicts[i] >> j & 1) == (d not in {0, 162, 324, 486, 648}), (i, j)
 
     # (9, 4) conflicts inside the 252-point orbit and across to the deep orbit
-    family_of = {p: fam.counts for fam in families for p in fam.scaled_points()}
+    family_of = {p: fam.counts for fam in graph.families for p in fam.scaled_points()}
     kinds = set()
     for i, mask in enumerate(u.conflicts):
         for j in range(u.size):
@@ -164,22 +163,23 @@ def test_classify_reports_over_the_edge_cap_quickly():
         start = time.perf_counter()
         r = classify(Parameters(n, m))
         assert time.perf_counter() - start < 5.0
-        assert r.universe_size == points
-        assert not r.complete and not r.optimal
+        assert r.graph.size == points
+        assert r.graph.conflicts and not r.optimal
         assert r.added_count == lower
-        assert any("materialization cap" in note for note in r.notes)
+        assert r.capped
 
 
 def test_classify_32_7_is_a_perfect_matching():
     start = time.perf_counter()
     r = classify(Parameters(32, 7))
     assert time.perf_counter() - start < 5.0
-    assert r.universe_size == 32 + 14880 + 992
+    assert r.graph.size == 32 + 14880 + 992
     assert r.added_count == 32 + 14880 + 496 == 15408
-    assert r.optimal and not r.complete
-    assert r.incompatibilities == ("intra k0=-8 k=(1, 30, 0, 1)",)
+    assert r.optimal and not r.capped
+    i = [(f.offset, f.counts) for f in r.graph.families].index((-8, (1, 30, 0, 1)))
+    assert r.graph.conflicts == ((i, i),)
     s = r.clique_structure
-    assert (s.min_size, s.max_size, s.count, s.method) == (15408, 15408, 2**496, "complement-matching")
+    assert (s.min_size, s.max_size, s.count) == (15408, 15408, 2**496)
 
 
 def test_universe_cap():
@@ -191,10 +191,10 @@ def test_classify_degrades_above_cap():
     # a conflicting universe over the cap falls back to spectrum-level
     # verification; the cardinality becomes a single-family lower bound
     r = classify(Parameters(9, 4), cap=100)
-    assert not r.complete and not r.optimal
+    assert r.graph.conflicts and not r.optimal
     assert r.added_count == 36  # the largest orbit that is two-distance on its own
     assert r.maximal_set_cardinality == 126 + 36
-    assert any("materialization cap" in note for note in r.notes)
+    assert r.capped
 
 
 def test_classify_computes_each_family_spectrum_once(monkeypatch):
@@ -228,7 +228,7 @@ def test_classify_computes_each_family_spectrum_once(monkeypatch):
         report = classify(params, budget=0, cap=cap)
         expected = {"addable": 1, "cross": cross, "johnson": johnson}
         assert calls == expected, (params, cap)
-        _classify_record(report)
+        _classify_record(report, 0)
         assert calls == expected, (params, cap, "report record")
 
 
@@ -238,7 +238,7 @@ def test_max_clique_small():
     assert result.size == 9 and result.optimal
 
     r = classify(Parameters(12, 2))
-    assert r.universe_size == 0 and r.added_count == 0 and r.optimal
+    assert r.graph.size == 0 and r.added_count == 0 and r.optimal
 
 
 def test_max_clique_9_3():
@@ -248,10 +248,10 @@ def test_max_clique_9_3():
     assert max_clique(u) == result  # deterministic
 
     structure = maximal_clique_structure(u)
-    assert structure.exhaustive
+    assert structure is not None
     assert (structure.min_size, structure.max_size) == (37, 37)
     assert structure.count == 2**36
-    assert structure.method == "complement-matching"
+    assert all(mask & (mask - 1) == 0 for mask in u.conflicts)  # the conflicts form a matching
 
     # (9, 4) has vertices with several conflicts: no structure is claimed
     assert maximal_clique_structure(universe_of(Parameters(9, 4))) is None
@@ -448,17 +448,17 @@ def test_max_clique_9_4_budget_speed():
 
 def test_classify_9_2():
     r = classify(Parameters(9, 2))
-    assert [(f.offset, f.counts) for f in r.addable] == [(6, (8, 1))]
-    assert r.universe_size == 9
-    assert r.complete and r.optimal
+    assert [(f.offset, f.counts) for f in r.graph.families] == [(6, (8, 1))]
+    assert r.graph.size == 9
+    assert not r.graph.conflicts and r.optimal
     assert r.added_count == 9
     assert r.maximal_set_cardinality == 45
 
 
 def test_classify_9_3():
     r = classify(Parameters(9, 3))
-    assert r.universe_size == 73
-    assert not r.complete
+    assert r.graph.size == 73
+    assert r.graph.conflicts
     assert r.added_count == 37 and r.optimal
     assert r.maximal_set_cardinality == 121
     assert r.clique_structure is not None
@@ -477,7 +477,7 @@ def test_classify_table_rows_complete():
     }
     for (n, m), (added, total) in expectations.items():
         r = classify(Parameters(n, m))
-        assert r.complete, (n, m)
+        assert not r.graph.conflicts, (n, m)
         assert r.added_count == added
         assert r.maximal_set_cardinality == total
 
@@ -504,18 +504,18 @@ def test_witness_vectors_are_a_clique_of_the_9_4_universe():
 
 def test_classify_9_4_reports_open_conjecture():
     r = classify(Parameters(9, 4), budget=20_000)
-    assert [(f.offset, f.counts) for f in r.addable] == [
+    assert [(f.offset, f.counts) for f in r.graph.families] == [
         (-3, (1, 8)),
         (3, (7, 2)),
         (-3, (2, 6, 1)),
         (3, (8, 0, 1)),
     ]
-    assert r.universe_size == 306
+    assert r.graph.size == 306
     assert r.added_count >= 132
     assert r.maximal_set_cardinality >= 258
     if not r.optimal:
-        assert any("budget" in note for note in r.notes)
-    payload = _classify_record(r)
+        assert not r.capped  # the search budget ran out, not the cap
+    payload = _classify_record(r, 20_000)
     assert payload["maximal_set_cardinality"] >= 258
 
 
@@ -564,7 +564,7 @@ def test_reported_sets_recheck():
     for n, m in ((9, 2), (8, 3), (8, 4)):
         r = classify(Parameters(n, m))
         pts = list(johnson_points(Parameters(n, m)))
-        for f in r.addable:
+        for f in r.graph.families:
             pts.extend(f.points())
         ok, _ = verify_point_set(pts, m, johnson=True)
         assert ok
