@@ -8,7 +8,6 @@ from .exactnum import (
     format_quad,
     parse_quad,
     solve_quadratic,
-    sqrt_rational,
 )
 from .families import (
     CandidateFamily,
@@ -48,7 +47,6 @@ from .subjohnson import (
     congruent,
     solve_sub_families,
     sub_johnson_points,
-    sub_sq_dist,
 )
 
 __version__ = "0.1.0"

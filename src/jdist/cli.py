@@ -267,7 +267,7 @@ def _classify_record(report, budget: int) -> dict:
 
 def _sub2_family_record(fam, intra: bool) -> dict:
     # the point shape ((a)^k, (a-1)^(n-1-k), (b)), without an empty run or an exponent 1
-    runs = ((fam.a, fam.k), (fam.a - 1, fam.n - 1 - fam.k), (fam.b, 1))
+    runs = ((fam.a, fam.k), (fam.low, fam.n - 1 - fam.k), (fam.b, 1))
     shape = ", ".join(f"({v})^{c}" if c > 1 else f"({v})" for v, c in runs if c)
     return {
         "label": fam.label,

@@ -1,18 +1,18 @@
-"""Exact scalar arithmetic for the distance-set pipeline.
+"""Exact scalars for the distance-set pipeline.
 
 Two scalar kinds appear throughout: arbitrary-precision rationals and
 elements of multiquadratic extensions of the rationals, i.e. finite sums
 ``c_1*sqrt(r_1) + c_2*sqrt(r_2) + ...`` with rational coefficients and
 squarefree integer radicands.  Rationals are plain
-:class:`fractions.Fraction`; :class:`QuadNum` adds the radical layer with
-exact equality, exact sign determination, and quadratic-equation solving.
-Point sets are compared through :class:`IntPointSet`, which rewrites a
-whole set as integer vectors over one denominator and radicand basis, so
-that squared distances are keyed by integers instead of being summed as
-``QuadNum`` values.
+:class:`fractions.Fraction`; :class:`QuadNum` is the radical layer as a
+normal-form value: it is parsed, formatted, hashed, compared for equality
+on its terms and ordered by an exact sign, and does no arithmetic.
+Squared distances are computed by :class:`IntPointSet`, which rewrites a
+whole point set as integer vectors over one denominator and radicand
+basis, so that they are keyed by integers; the fixed-last-axis families
+are solved in integers too (:mod:`jdist.subjohnson`).
 
-No floating point feeds any decision anywhere; ``float(q)`` exists only as
-a sanity cross-check for tests.
+No floating point feeds any decision, and a ``QuadNum`` has no float value.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ class QuadNum:
     rationals, so two values are equal exactly when their term tuples are
     identical, and a value is zero exactly when it has no terms.
     Instances are immutable and hashable; a purely rational QuadNum hashes
-    like the equal Fraction.
+    like the equal Fraction.  An ordering against an int, a Fraction or a
+    QuadNum is the exact :meth:`sign` of the value built from both sides'
+    terms; a QuadNum does no other arithmetic.
     """
 
     __slots__ = ("_terms",)
@@ -138,54 +140,6 @@ class QuadNum:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self._terms[0][1]
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: Scalar) -> "QuadNum":
-        acc = dict(self._terms)
-        for rad, coeff in _scalar_terms(other):
-            acc[rad] = acc[rad] + coeff if rad in acc else coeff
-        return QuadNum(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadNum":
-        return QuadNum({rad: -coeff for rad, coeff in self._terms})
-
-    def __sub__(self, other: Scalar) -> "QuadNum":
-        acc = dict(self._terms)
-        for rad, coeff in _scalar_terms(other):
-            acc[rad] = acc[rad] - coeff if rad in acc else -coeff
-        return QuadNum(acc)
-
-    def __rsub__(self, other: Scalar) -> "QuadNum":
-        return (-self) + other
-
-    def __mul__(self, other: Scalar) -> "QuadNum":
-        other = _scalar_terms(other)
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self._terms:
-            for r2, c2 in other:
-                g = math.gcd(r1, r2)
-                rad = (r1 // g) * (r2 // g)
-                term = c1 * c2 if g == 1 else c1 * c2 * g
-                acc[rad] = acc[rad] + term if rad in acc else term
-        return QuadNum(acc)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "QuadNum":
-        if isinstance(other, QuadNum):
-            other = other.as_fraction()
-        return self * (1 / _rational(other))
-
-    def __pow__(self, exponent: int) -> "QuadNum":
-        if exponent < 0:
-            raise ValueError("negative powers are not supported")
-        out = QuadNum.of(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     # -- comparisons -----------------------------------------------------
 
@@ -238,37 +192,28 @@ class QuadNum:
                 return -1
             prec *= 2
 
+    def _cmp(self, other: Scalar) -> int:
+        """The sign of ``self - other``: one normal form of the merged terms."""
+        negated = ((rad, -coeff) for rad, coeff in _scalar_terms(other))
+        return QuadNum((*self._terms, *negated)).sign()
+
     def __lt__(self, other: Scalar) -> bool:
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: Scalar) -> bool:
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: Scalar) -> bool:
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: Scalar) -> bool:
-        return (self - other).sign() >= 0
-
-    def __float__(self) -> float:
-        return sum(float(coeff) * math.sqrt(rad) for rad, coeff in self._terms)
+        return self._cmp(other) >= 0
 
     def __str__(self) -> str:
         return format_quad(self)
 
     def __repr__(self) -> str:
         return f"QuadNum({format_quad(self)!r})"
-
-
-def sqrt_rational(r: object) -> QuadNum:
-    """Exact positive square root of a non-negative rational."""
-    r = _rational(r)
-    if r < 0:
-        raise NegativeRadicand(f"cannot take a real square root of {r}")
-    if r == 0:
-        return QuadNum()
-    s, f = squarefree_decompose(r.numerator * r.denominator)
-    return QuadNum({f: Fraction(s, r.denominator)})
 
 
 def _rational(value: object) -> Fraction:
@@ -487,10 +432,6 @@ def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:
 # round-trip bit-exactly.
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
-
-
-def format_rational(value: object) -> str:
-    return str(_rational(value))
 
 
 def format_ratio(num: int, den: int) -> str:

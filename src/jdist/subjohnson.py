@@ -62,6 +62,11 @@ class SubFamily:
         return self._value(self.p, self.q)
 
     @cached_property
+    def low(self) -> QuadNum:
+        """The value ``a - 1`` of the lower slots."""
+        return self._value(self.p - self.r, self.q)
+
+    @cached_property
     def b(self) -> QuadNum:
         n, k = self.n, self.k
         return self._value((n - k + 1) * self.r - (n - 1) * self.p, -(n - 1) * self.q)
@@ -75,13 +80,12 @@ class SubFamily:
         return math.comb(self.n - 1, self.k)
 
     def points(self) -> tuple[tuple[QuadNum, ...], ...]:
-        n, k = self.n, self.k
-        low = self._value(self.p - self.r, self.q)
+        n, k, low, a = self.n, self.k, self.low, self.a
         out = []
         for support in itertools.combinations(range(n - 1), k):
             point = [low] * (n - 1)
             for i in support:
-                point[i] = self.a
+                point[i] = a
             point.append(self.b)
             out.append(tuple(point))
         return tuple(out)
@@ -113,20 +117,6 @@ def sub_johnson_size(n: int) -> int:
 def overlap_range(n: int, k: int) -> range:
     """Achievable counts of ones landing on (a-1)-slots."""
     return range(max(0, 2 - k), min(2, n - 1 - k) + 1)
-
-
-def sub_sq_dist(n: int, k: int, a, i2: int) -> QuadNum:
-    """Squared distance to a Johnson point with overlap ``i2``."""
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"need 0 <= k <= n-2, got k={k}")
-    if i2 not in overlap_range(n, k):
-        raise ValueError(f"overlap {i2} infeasible for k={k}, n={n}")
-    a = QuadNum.of(a)
-    return (
-        a * a * (n * (n - 1))
-        - a * (2 * n * (n - k + 1))
-        + QuadNum.of((n - k + 1) * (n - k + 2) + 2 * i2)
-    )
 
 
 def solve_sub_families(n: int) -> list[SubFamily]:

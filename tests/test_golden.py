@@ -37,6 +37,9 @@ CASES = [
     ("sub2_17", ["sub2", "17"], 0),
     ("corollary_8", ["corollary", "8"], 0),
     ("verify_points3", ["verify", "tests/golden/points3.json", "--m", "2", "--johnson"], 0),
+    # union_points(9, ("S1+", "S1-", "S2+")): rational and irrational
+    # distances in one sorted spectrum
+    ("verify_points_sub2_9", ["verify", "tests/golden/points_sub2_9.json", "--m", "4"], 0),
 ]
 
 

@@ -1,5 +1,6 @@
-"""Property tests: integer point keys and serialization against QuadNum
-arithmetic, and the report JSON encoder against the stdlib one.
+"""Property tests: integer point keys and serialization against ring
+arithmetic on QuadNum terms, and the report JSON encoder against the stdlib
+one.
 
 Random inputs come from seeded ``random.Random`` streams, so every run
 checks the same cases.
@@ -22,8 +23,8 @@ from jdist.exactnum import (
     format_quad,
     parse_quad,
     solve_quadratic,
-    sqrt_rational,
 )
+from quadref import add, mul, neg, sqrt
 
 RADICANDS = (1, 2, 3, 5, 6, 15, 21)
 
@@ -46,11 +47,8 @@ def rand_scalar(rng):
 
 
 def quad_sq_dist(p, q):
-    total = QuadNum()
-    for a, b in zip(p, q):
-        diff = QuadNum.of(a) - QuadNum.of(b)
-        total = total + diff * diff
-    return total
+    diffs = [add(a, neg(b)) for a, b in zip(p, q)]
+    return add(*(mul(d, d) for d in diffs))
 
 
 def test_keys_match_quadnum_arithmetic():
@@ -162,11 +160,12 @@ def test_quadnum_ring_matches_rebuilt_term_sums():
         negated = [(rad, -coeff) for rad, coeff in tb]
         # sqrt(r1)*sqrt(r2) = sqrt(r1*r2); the constructor factors the product
         product = [(r1 * r2, F(c1) * c2) for r1, c1 in ta for r2, c2 in tb]
+        # the reference ops rebuild from the normal-form terms of a and b
         expected = {
-            "add": (a + b, QuadNum(ta + tb)),
-            "sub": (a - b, QuadNum(ta + negated)),
-            "mul": (a * b, QuadNum(product)),
-            "neg": (-a, QuadNum((rad, -coeff) for rad, coeff in ta)),
+            "add": (add(a, b), QuadNum(ta + tb)),
+            "sub": (add(a, neg(b)), QuadNum(ta + negated)),
+            "mul": (mul(a, b), QuadNum(product)),
+            "neg": (neg(a), QuadNum((rad, -coeff) for rad, coeff in ta)),
         }
         for op, (got, want) in expected.items():
             assert got == want, (op, ta, tb)
@@ -178,14 +177,14 @@ def test_quadnum_ring_matches_rebuilt_term_sums():
         assert QuadNum(reversed(ta)) == a and hash(QuadNum(reversed(ta))) == hash(a)
         assert QuadNum(a.terms) == a
         assert (a == b) == (QuadNum(ta + negated).terms == ())
-        assert (a == b) == (not (a - b))
+        assert (a == b) == (not add(a, neg(b)))
 
         # int and Fraction operands act as radicand-1 terms
         c = rand_coefficient(rng) if rng.randrange(2) else rng.randrange(-4, 5)
-        assert a + c == QuadNum(ta + [(1, c)]) == c + a
-        assert a - c == QuadNum(ta + [(1, -c)])
-        assert c - a == QuadNum([(rad, -coeff) for rad, coeff in ta] + [(1, c)])
-        assert a * c == QuadNum([(rad, coeff * c) for rad, coeff in ta]) == c * a
+        assert add(a, c) == QuadNum(ta + [(1, c)]) == add(c, a)
+        assert add(a, -c) == QuadNum(ta + [(1, -c)])
+        assert add(c, neg(a)) == QuadNum([(rad, -coeff) for rad, coeff in ta] + [(1, c)])
+        assert mul(a, c) == QuadNum([(rad, coeff * c) for rad, coeff in ta]) == mul(c, a)
 
 
 def test_solve_quadratic_matches_ring_formula():
@@ -221,12 +220,12 @@ def test_solve_quadratic_matches_ring_formula():
                 solve_quadratic(a, b, c)
             continue
         lo, hi = solve_quadratic(a, b, c)
-        root = sqrt_rational(disc)
-        assert lo == (QuadNum.of(-b) - root) * F(1, 2 * a), (a, b, c)
-        assert hi == (QuadNum.of(-b) + root) * F(1, 2 * a), (a, b, c)
+        root = sqrt(disc)
+        assert lo == mul(add(-b, neg(root)), F(1, 2 * a)), (a, b, c)
+        assert hi == mul(add(-b, root), F(1, 2 * a)), (a, b, c)
         for x in (lo, hi):
             assert_normal_form(x)
-            assert a * x * x + b * x + c == 0
+            assert add(mul(a, x, x), mul(b, x), c) == 0
         # the minus branch first: the smaller root when a > 0, the larger when a < 0
         assert (lo <= hi) if a > 0 else (lo >= hi)
         if disc == 0:

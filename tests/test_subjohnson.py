@@ -10,7 +10,7 @@ import pytest
 
 import jdist.exactnum
 import jdist.subjohnson
-from jdist.exactnum import IntPointSet, QuadNum, squarefree_decompose, sqrt_rational
+from jdist.exactnum import IntPointSet, QuadNum, squarefree_decompose
 from jdist.families import Parameters, johnson_points
 from jdist.subjohnson import (
     TWO_DISTANCE,
@@ -24,9 +24,9 @@ from jdist.subjohnson import (
     sq_dist_points,
     sub_johnson_points,
     sub_johnson_size,
-    sub_sq_dist,
     union_points,
 )
+from quadref import add, mul, neg, sqrt, sub_sq_dist
 
 
 def by_label(n):
@@ -66,7 +66,7 @@ def test_sub_sq_dist_against_points():
     x = tuple([1, 1] + [0] * 5)
     for point in fam.points():
         d = sq_dist_points(x, point)
-        overlap = sum(1 for a, b in zip(x, point) if a == 1 and b == fam.a - 1)
+        overlap = sum(1 for a, b in zip(x, point) if a == 1 and b == fam.low)
         assert d == sub_sq_dist(7, fam.k, fam.a, overlap)
 
 
@@ -83,10 +83,10 @@ def test_solved_families_printed_forms():
     assert fams8["S2+"].points() == ((F(1, 2),) * 7 + (F(-3, 2),),)
     assert fams8["S2-"].points() == ((F(1, 14),) * 7 + (F(3, 2),),)
 
-    root17 = sqrt_rational(17)
+    root17 = sqrt(17)
     s1 = by_label(17)["S1+"]
-    assert s1.a - 1 == (QuadNum.of(34) + root17 * 2) / 272
-    assert s1.b == root17 * F(-2, 17)
+    assert s1.low == add(s1.a, -1) == mul(add(34, mul(root17, 2)), F(1, 272))
+    assert s1.b == mul(root17, F(-2, 17))
 
 
 def test_family_census_by_n():
@@ -104,8 +104,8 @@ def test_family_census_by_n():
 
 
 def reference_families(n):
-    """(label, a, b) of every family, solved in QuadNum ring arithmetic:
-    both roots from sqrt_rational, b = (n-k+1) - (n-1)a, and each overlap
+    """(label, a, b) of every family, solved in the ring arithmetic of
+    quadref: both roots from sqrt, b = (n-k+1) - (n-1)a, and each overlap
     checked through sub_sq_dist."""
     out = []
     for kind, k, first_target in ((1, 0, 2), (2, 0, 4), (3, 1, 2), (4, n - 2, 2)):
@@ -115,13 +115,13 @@ def reference_families(n):
         disc = F(coeff_b * coeff_b - 4 * coeff_a * coeff_c)
         if disc < 0:
             continue
-        root = sqrt_rational(disc)
-        minus = (QuadNum.of(-coeff_b) - root) * F(1, 2 * coeff_a)
-        plus = (QuadNum.of(-coeff_b) + root) * F(1, 2 * coeff_a)
+        root = sqrt(disc)
+        minus = mul(add(-coeff_b, neg(root)), F(1, 2 * coeff_a))
+        plus = mul(add(-coeff_b, root), F(1, 2 * coeff_a))
         for sign, a in [("+", plus)] if minus == plus else [("+", plus), ("-", minus)]:
             for i2 in overlaps:
                 assert sub_sq_dist(n, k, a, i2) == first_target + 2 * (i2 - overlaps[0])
-            out.append((f"S{kind}{sign}", a, QuadNum.of(n - k + 1) - a * (n - 1)))
+            out.append((f"S{kind}{sign}", a, add(n - k + 1, mul(a, 1 - n))))
     return sorted(out, key=lambda row: row[0])
 
 
@@ -160,7 +160,7 @@ def test_solve_checks_still_fail(monkeypatch):
     def value(p, q, f, r):
         d = QuadNum([(1, F(p, r)), (f, F(q, r))])
         quad, lin, const = form
-        return d * d * quad + d * lin + const
+        return add(mul(d, d, quad), mul(d, lin), const)
 
     # the roots' centre 34/272 zeroes the sqrt(17) part for any q, so a
     # wrong q leaves only the rational part to fail
@@ -194,10 +194,7 @@ def test_families_on_hyperplane_and_sizes():
             else:
                 assert fam.size == 1
             for p in pts:
-                total = QuadNum()
-                for c in p:
-                    total = total + c
-                assert total == 2
+                assert add(*p) == 2
 
 
 def test_johnson_side_two_distance():
@@ -338,8 +335,8 @@ def test_congruent_examples():
     # both sets must be keyed over one scale: doubling halves the even
     # denominators (4, and 42 with sqrt(21)), the shift adds the denominator 11
     for points in (union_points(9, ["S3+"]), union_points(7, ["S4+"])):
-        doubled = [tuple(2 * c for c in p) for p in points]
-        shifted = [tuple(c + F(i + 1, 11) for i, c in enumerate(p)) for p in points]
+        doubled = [tuple(mul(2, c) for c in p) for p in points]
+        shifted = [tuple(add(c, F(i + 1, 11)) for i, c in enumerate(p)) for p in points]
         assert not congruent(points, doubled)
         assert congruent(points, shifted)
 
