@@ -507,9 +507,13 @@ def _cmd_corollary(config: argparse.Namespace) -> Report:
     return Report({"rows": entries}, rows, lines)
 
 
-def _parse_coordinate(value):
+def _parse_coordinate(value, parsed: dict):
+    """One coordinate; ``parsed`` holds the strings seen so far in this file,
+    so that each distinct string is parsed once, on its first occurrence."""
     if isinstance(value, str):
-        return parse_quad(value)
+        if value not in parsed:
+            parsed[value] = parse_quad(value)
+        return parsed[value]
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"coordinates must be exact strings or integers, got {value!r}")
@@ -520,7 +524,8 @@ def _read_points(path: str) -> list[tuple]:
         raw = json.load(handle)
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValueError("expected a JSON array of arrays of coordinates")
-    return [tuple(_parse_coordinate(c) for c in row) for row in raw]
+    parsed: dict = {}
+    return [tuple(_parse_coordinate(c, parsed) for c in row) for row in raw]
 
 
 def _cmd_verify(config: argparse.Namespace) -> Report | None:

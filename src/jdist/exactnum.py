@@ -20,9 +20,12 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import struct
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import chain
+from operator import itemgetter, mul, sub
 from typing import Union
 
 Scalar = Union[int, Fraction, "QuadNum"]
@@ -85,7 +88,10 @@ class QuadNum:
     coefficients (anything else is a ``TypeError``), merges repeated
     radicands and drops zeros.  It factors each radicand above 1 with
     :func:`squarefree_decompose` (``sqrt(12)`` becomes ``2*sqrt(3)``);
-    radicands 0 and 1 are never factored.
+    radicands 0 and 1 are never factored.  It runs a factoring half, then a
+    merge half; terms whose radicands are squarefree already (:meth:`of`, an
+    ordering's two sides, :meth:`IntPointSet.value_of`,
+    :func:`solve_quadratic`) go through the merge half alone.
 
     Distinct squarefree radicands are linearly independent over the
     rationals, so two values are equal exactly when their term tuples are
@@ -100,31 +106,22 @@ class QuadNum:
 
     def __init__(self, terms: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
-        for rad, coeff in items:
-            if rad < 0:
-                raise NegativeRadicand(f"negative radicand {rad}")
-            if type(coeff) is not Fraction:
-                coeff = _rational(coeff)
-            if rad == 0 or not coeff:
-                continue
-            if rad != 1:
-                s, rad = squarefree_decompose(rad)
-                if s != 1:
-                    coeff *= s
-            if rad in acc:
-                coeff += acc[rad]
-                if not coeff:
-                    del acc[rad]
-                    continue
-            acc[rad] = coeff
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+        object.__setattr__(self, "_terms", _merged(_squarefree_terms(items)))
+
+    @classmethod
+    def _normal(cls, terms: Iterable[tuple[int, Fraction]]) -> "QuadNum":
+        """The value of ``terms`` whose radicands are squarefree and whose
+        coefficients are Fractions: the merge half of the constructor alone,
+        which factors nothing."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "_terms", _merged(terms))
+        return value
 
     @staticmethod
     def of(value: Scalar) -> "QuadNum":
         if isinstance(value, QuadNum):
             return value
-        return QuadNum({1: _rational(value)})
+        return QuadNum._normal(((1, _rational(value)),))
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -195,7 +192,7 @@ class QuadNum:
     def _cmp(self, other: Scalar) -> int:
         """The sign of ``self - other``: one normal form of the merged terms."""
         negated = ((rad, -coeff) for rad, coeff in _scalar_terms(other))
-        return QuadNum((*self._terms, *negated)).sign()
+        return QuadNum._normal((*self._terms, *negated)).sign()
 
     def __lt__(self, other: Scalar) -> bool:
         return self._cmp(other) < 0
@@ -214,6 +211,36 @@ class QuadNum:
 
     def __repr__(self) -> str:
         return f"QuadNum({format_quad(self)!r})"
+
+
+def _squarefree_terms(items: Iterable[tuple[int, object]]) -> Iterator[tuple[int, Fraction]]:
+    """The factoring half of the constructor: each term with a Fraction
+    coefficient and a squarefree radicand, radicand-0 and zero terms
+    dropped; only radicands above 1 are factored."""
+    for rad, coeff in items:
+        if rad < 0:
+            raise NegativeRadicand(f"negative radicand {rad}")
+        if type(coeff) is not Fraction:
+            coeff = _rational(coeff)
+        if rad == 0 or not coeff:
+            continue
+        if rad != 1:
+            s, rad = squarefree_decompose(rad)
+            if s != 1:
+                coeff *= s
+        yield rad, coeff
+
+
+def _merged(terms: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+    """The merge half of the constructor: squarefree terms with repeated
+    radicands summed, zeros dropped, in ascending radicand order."""
+    acc: dict[int, Fraction] = {}
+    for rad, coeff in terms:
+        if rad in acc:
+            coeff += acc.pop(rad)
+        if coeff:
+            acc[rad] = coeff
+    return tuple(sorted(acc.items()))
 
 
 def _rational(value: object) -> Fraction:
@@ -247,6 +274,9 @@ class IntPointSet:
     ascending squarefree basis ``radicands = (1, r_1, ...)`` shared by the
     whole set.  ``vectors[k]`` holds point k flat, component-major: the
     ``x_0`` of every coordinate, then the ``x_1`` of every coordinate, ...
+    The vectors are translated by their componentwise minimum, so that every
+    component is ``>= 0``; a translation changes no distance.  A point of no
+    coordinates is read as one zero coordinate.
 
     The squared distance of two points is a sum of products ``x_i*x_j``,
     and ``sqrt(r_i*r_j) = s*sqrt(f)`` with ``f`` squarefree; the table of
@@ -258,19 +288,29 @@ class IntPointSet:
 
     Keys come from the Gram form: on each ``f`` the coefficient is ``B(p,
     p) + B(q, q) - 2B(p, q)`` for a symmetric bilinear ``B(p, q) = <L(p),
-    R(q)>`` (see :func:`_layout`).  ``L``, ``R`` and the norms ``B(p, p)``
-    are laid out once per point, so a pair costs one dot product per ``f``;
-    :meth:`row_keys` and :meth:`distinct_keys` take those for one point
-    against a run of points in one list pass per ``f``.
+    R(q)>`` of ``k`` components (see :func:`_layout`), all ``>= 0``.  The
+    norms ``B(p, p)`` are summed once per point.  The dot products are
+    packed (Kronecker substitution): the ``R`` of all points lie end to end
+    in one byte string of little-endian fields of ``w`` bytes, and the ``L``
+    of each point, reversed and doubled, is one integer.  Multiplying
+    ``L(p)`` by the integer of the fields of a run of points puts ``2B(p,
+    q)`` in field ``(j + 1)k - 1`` of the product, for the j-th point q of
+    the run.  Each field of the product sums at most ``k`` products
+    ``2*L_i*R_j``, so it is at most ``2 * k * max L * max R``; ``w`` is the
+    fewest bytes (1, 2, 4 or 8, or the exact count above 8) that hold this
+    bound, so no carry crosses a field.  :meth:`row_keys` and
+    :meth:`distinct_keys` take one such product per ``f`` for one point
+    against a run of points.
     """
 
-    __slots__ = ("radicands", "denominator", "vectors", "_plan", "_forms")
+    __slots__ = ("radicands", "denominator", "vectors", "_plan", "_forms", "_keys")
 
     def __init__(self, points: Iterable[Sequence[Scalar]]):
         terms = [[_scalar_terms(c) for c in p] for p in points]
         dim = len(terms[0]) if terms else 0
         if any(len(p) != dim for p in terms):
             raise ValueError("points have mixed dimensions")
+        dim = dim or 1  # so that every point has a field to pack
         radicands, denominators = {1}, {1}
         for p in terms:
             for c in p:
@@ -286,8 +326,9 @@ class IntPointSet:
             for k, c in enumerate(p):
                 for rad, coeff in c:
                     flat[offset[rad] + k] = coeff.numerator * (self.denominator // coeff.denominator)
-            vectors.append(tuple(flat))
-        self.vectors = tuple(vectors)
+            vectors.append(flat)
+        low = [min(component) for component in zip(*vectors)]
+        self.vectors = tuple(tuple(map(sub, flat, low)) for flat in vectors)
 
         # f -> the (i, j, weight) whose products x_i*x_j land on sqrt(f):
         # a square r_i^2 on f = 1 with weight r_i, and for i < j the cross
@@ -303,12 +344,16 @@ class IntPointSet:
         size = len(self.radicands) * dim
         layouts = [_layout(products, dim, size) for _, products in self._plan]
         self._forms = tuple(_gram_forms(layout, self.vectors) for layout in layouts)
+        self._keys: dict[tuple[int, ...], Key] = {}  # raw -> key, for row_keys
 
     def row_keys(self, a: int, start: int, stop: int) -> list[Key]:
-        """Keys of point ``a`` against points ``start, ..., stop - 1``."""
+        """Keys of point ``a`` against points ``start, ..., stop - 1``, for
+        ``0 <= start <= stop <= len(vectors)``."""
         raws = list(_gram_row(self._forms, a, start, stop))
-        keys = {raw: self._key(raw) for raw in set(raws)}
-        return [keys[raw] for raw in raws]
+        keys = self._keys
+        for raw in set(raws).difference(keys):  # each value is keyed once per set
+            keys[raw] = self._key(raw)
+        return list(map(keys.__getitem__, raws))
 
     def distinct_keys(self) -> set[Key]:
         """The set of keys over all pairs ``i < j``; ``()`` when two points
@@ -329,7 +374,7 @@ class IntPointSet:
         scale = self.denominator**2
         if all(rad == 1 for rad, _ in key):
             return Fraction(key[0][1], scale) if key else Fraction(0)
-        return QuadNum((rad, Fraction(v, scale)) for rad, v in key)
+        return QuadNum._normal((rad, Fraction(v, scale)) for rad, v in key)
 
     def _key(self, raw: tuple[int, ...]) -> Key:
         return tuple((f, v) for (f, _), v in zip(self._plan, raw) if v)
@@ -345,8 +390,8 @@ def _layout(products: tuple[tuple[int, int, int], ...], dim: int, size: int):
     when ``L(p)`` joins the blocks ``p_i`` of a square ``(i, i, r)`` and
     ``p_i, p_j`` of a cross term ``(i, j, 2g)``, and ``R(q)`` joins the
     matching ``r * q_i`` and ``g * q_j, g * q_i``.  Returns the gathers of
-    ``L`` and ``R`` (one object when they are equal) and the factors of
-    ``R`` (None when all are 1).
+    ``L`` and ``R`` (one object when they are equal), the factors of ``R``
+    (None when all are 1) and the length of ``L``.
     """
     left, right, factors = [], [], []
     for i, j, weight in products:
@@ -364,6 +409,7 @@ def _layout(products: tuple[tuple[int, int, int], ...], dim: int, size: int):
         take_left,
         take_left if right == left else _gather(right, size),
         None if all(c == 1 for c in factors) else tuple(factors),
+        len(left),
     )
 
 
@@ -376,26 +422,72 @@ def _gather(indices: list[int], size: int):
     return itemgetter(*indices)
 
 
-def _gram_forms(layout, vectors) -> tuple[list[int], list, list]:
-    """The norms ``B(p, p)``, the ``L(p)`` and the ``R(p)`` of all ``vectors``
-    on one f with the given :func:`_layout`."""
-    take_left, take_right, factors = layout
+# struct and memoryview.cast codes of the field widths that a little-endian
+# host packs and reads natively; any other width, and every width on a
+# big-endian host, goes through int.to_bytes and int.from_bytes
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _field_width(bound: int) -> int:
+    """The bytes of a field that holds every integer of ``[0, bound]``:
+    the fewest of 1, 2, 4 or 8, or the exact count above 8 bytes."""
+    need = max(1, (bound.bit_length() + 7) // 8)
+    return next((width for width in _FIELD_CODES if width >= need), need)
+
+
+def _pack(values: Sequence[int], width: int) -> bytes:
+    """``values``, each in ``[0, 256**width)``, as little-endian fields."""
+    code = _FIELD_CODES.get(width)
+    if code is None:
+        return b"".join(v.to_bytes(width, "little") for v in values)
+    return struct.pack(f"<{len(values)}{code}", *values)
+
+
+def _fields(data: bytes, width: int, first: int, step: int) -> Sequence[int]:
+    """Fields ``first, first + step, ...`` of little-endian ``data``."""
+    code = _FIELD_CODES.get(width)
+    if code is None:
+        starts = range(first * width, len(data), step * width)
+        return [int.from_bytes(data[i : i + width], "little") for i in starts]
+    return memoryview(data).cast(code)[first::step]
+
+
+def _gram_forms(layout, vectors) -> tuple[list[int], list[int], memoryview, int, int]:
+    """One f's norms ``B(p, p)``, doubled reversed ``L(p)`` integers, packed
+    ``R`` fields, ``L`` length and field width, for all ``vectors``, with
+    the given :func:`_layout`."""
+    take_left, take_right, factors, count = layout
     lefts = list(map(take_left, vectors))
     rights = lefts if take_right is take_left else list(map(take_right, vectors))
     if factors is not None:
         rights = [tuple(map(mul, factors, y)) for y in rights]
     norms = [sum(map(mul, x, y)) for x, y in zip(lefts, rights)]
-    return norms, lefts, rights
+    flat_lefts = list(chain.from_iterable(lefts))
+    flat_rights = flat_lefts if rights is lefts else list(chain.from_iterable(rights))
+    width = _field_width(2 * count * max(flat_lefts, default=0) * max(flat_rights, default=0))
+    step = count * width  # bytes of one point's fields
+    # all L reversed at once, so the points come last first: the reversed L
+    # of point p ends p * step bytes before the end
+    flipped = memoryview(_pack(flat_lefts[::-1], width))
+    ends = range(len(flipped), 0, -step)
+    packed_lefts = [int.from_bytes(flipped[end - step : end], "little") << 1 for end in ends]
+    packed_rights = memoryview(_pack(flat_rights, width))
+    return norms, packed_lefts, packed_rights, count, width
 
 
 def _gram_row(forms, a: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
     """The raw keys of point ``a`` against points ``start, ..., stop - 1``:
-    one integer per f (zeros kept), from one list pass over the run per f."""
+    one integer per f (zeros kept), from one product per f."""
     per_f = []
-    for norms, lefts, rights in forms:
-        norm, left = norms[a], lefts[a]
-        run = zip(norms[start:stop], rights[start:stop])
-        per_f.append([norm + n - 2 * sum(map(mul, left, right)) for n, right in run])
+    for norms, lefts, rights, count, width in forms:
+        step = count * width  # bytes of one point's fields
+        run = int.from_bytes(rights[start * step : stop * step], "little")
+        # the product fits (stop - start + 1) * count fields, and field
+        # (j + 1) * count - 1 is 2B(a, start + j)
+        product = (run * lefts[a]).to_bytes((stop - start + 1) * step, "little")
+        twice = _fields(product, width, count - 1, count)
+        norm = norms[a]
+        per_f.append([norm + n - d for n, d in zip(norms[start:stop], twice)])
     return zip(*per_f)
 
 
@@ -421,7 +513,7 @@ def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:
         return root, root
     s, f = squarefree_decompose(disc.numerator * disc.denominator)
     half = Fraction(s, disc.denominator) / (2 * a)
-    return QuadNum(((1, center), (f, -half))), QuadNum(((1, center), (f, half)))
+    return QuadNum._normal(((1, center), (f, -half))), QuadNum._normal(((1, center), (f, half)))
 
 
 # -- serialization -------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import jdist.cli
+import jdist.exactnum
 from jdist.cli import (
     SUB2_EXPECTED,
     TABLES_EXPECTED,
@@ -223,6 +224,65 @@ def test_verify_command(tmp_path, capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), bad
         assert err.startswith("cannot read point set: ") and err.count("\n") == 1, (bad, err)
+
+
+# each string with this radicand costs about 0.1 s of trial division
+LARGE_RADICAL = "sqrt(999999999989)"
+
+
+def test_verify_parses_each_distinct_coordinate_once(tmp_path, monkeypatch, capsys):
+    strings = [f"1+1*{LARGE_RADICAL}", "0", f"1*{LARGE_RADICAL}", "1"]
+    rows = [[strings[i % 4], strings[(i // 4) % 4]] for i in range(200)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    calls = []
+    original = jdist.cli.parse_quad
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(jdist.cli, "parse_quad", counted)
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--m", "20"]) == 0
+    assert time.perf_counter() - start < 2
+    assert sorted(calls) == sorted(strings)
+    # the spectrum orders values over the large radicand
+    assert f"2*{LARGE_RADICAL}" in capsys.readouterr().out
+
+    # the first bad term in file order is the one named
+    rows[150][1], rows[120][0], rows[180][0] = "1/0", "2*sqrt(x)", "2*sqrt(x)"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    assert main(["verify", str(path), "--m", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == "cannot read point set: cannot parse scalar term '2*sqrt(x)'\n"
+
+
+def test_verify_factors_only_while_parsing(monkeypatch, capsys):
+    # orderings and exact values of keys merge squarefree terms and factor
+    # nothing: the one factorization per radical term of a distinct string
+    # happens inside parse_quad
+    calls, parsing = [], []
+    factor, parse = jdist.exactnum.squarefree_decompose, jdist.cli.parse_quad
+
+    def counted_factor(n):
+        calls.append(n)
+        return factor(n)
+
+    def counted_parse(text):
+        before = len(calls)
+        value = parse(text)
+        parsing.append(len(calls) - before)
+        return value
+
+    monkeypatch.setattr(jdist.exactnum, "squarefree_decompose", counted_factor)
+    monkeypatch.setattr(jdist.cli, "parse_quad", counted_parse)
+    path = ROOT / "tests" / "golden" / "points_sub2_9.json"
+    assert main(["verify", str(path), "--m", "4"]) == 0
+    strings = {c for row in json.loads(path.read_text(encoding="utf-8")) for c in row}
+    assert calls == [5, 5]
+    assert sum(parsing) == sum(text.count("sqrt(") for text in strings) == len(calls)
+    capsys.readouterr()
 
 
 def test_output_file(tmp_path):

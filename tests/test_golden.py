@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from jdist.cli import config_from_args, main
+from jdist.exactnum import format_quad
 from jdist.families import CandidateFamily, Parameters
-from jdist.maximality import classify
+from jdist.maximality import classify, four_distance_witness_points
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -40,6 +41,12 @@ CASES = [
     # union_points(9, ("S1+", "S1-", "S2+")): rational and irrational
     # distances in one sorted spectrum
     ("verify_points_sub2_9", ["verify", "tests/golden/points_sub2_9.json", "--m", "4"], 0),
+    # four_distance_witness_points(): the 258-point witness the benchmark verifies
+    (
+        "verify_points_witness_9_4",
+        ["verify", "tests/golden/points_witness_9_4.json", "--m", "4", "--johnson"],
+        0,
+    ),
 ]
 
 
@@ -51,6 +58,11 @@ def test_report_bytes(stem, argv, code, fmt, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / f"{stem}.{SUFFIX[fmt]}").read_bytes()
+
+
+def test_witness_points_file_is_the_construction():
+    rows = json.loads((GOLDEN / "points_witness_9_4.json").read_text(encoding="utf-8"))
+    assert rows == [[format_quad(c) for c in p] for p in four_distance_witness_points()]
 
 
 # the library returns structure only: each classify run walks its report down

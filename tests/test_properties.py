@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import jdist.exactnum
 from jdist.cli import encode_json
 from jdist.exactnum import (
     IntPointSet,
@@ -72,6 +73,26 @@ def test_keys_match_quadnum_arithmetic():
             assert (keys[a] == keys[b]) == (values[a] == values[b])
 
 
+def assert_rows_match(points, rng):
+    """Every full row, one random run per row and the distinct keys of
+    ``IntPointSet(points)`` against ring arithmetic; returns the set."""
+    exact = IntPointSet(points)
+    count = len(points)
+    for a in range(count):
+        keys = exact.row_keys(a, 0, count)
+        assert len(keys) == count
+        for b, key in enumerate(keys):
+            assert exact.value_of(key) == quad_sq_dist(points[a], points[b])
+        start = rng.randrange(count + 1)
+        stop = rng.randrange(start, count + 1)
+        assert exact.row_keys(a, start, stop) == keys[start:stop]
+    distinct = exact.distinct_keys()
+    values = {quad_sq_dist(p, q) for p, q in itertools.combinations(points, 2)}
+    assert distinct == {exact.key_of(v) for v in values}
+    assert (() in distinct) == (len(set(points)) < count)
+    return exact
+
+
 def test_row_and_distinct_keys_match_quadnum_arithmetic():
     rng = random.Random(1709)
     sizes = [0, 1] + [rng.randrange(2, 7) for _ in range(120)]
@@ -80,20 +101,80 @@ def test_row_and_distinct_keys_match_quadnum_arithmetic():
         points = [tuple(rand_scalar(rng) for _ in range(dim)) for _ in range(size)]
         if size > 1 and rng.randrange(2):
             points.insert(rng.randrange(size), rng.choice(points))  # a coincident pair
-        exact = IntPointSet(points)
-        count = len(points)
-        for a in range(count):
-            keys = exact.row_keys(a, 0, count)
-            assert len(keys) == count
-            for b, key in enumerate(keys):
-                assert exact.value_of(key) == quad_sq_dist(points[a], points[b])
-            start = rng.randrange(count + 1)
-            stop = rng.randrange(start, count + 1)
-            assert exact.row_keys(a, start, stop) == keys[start:stop]
-        distinct = exact.distinct_keys()
-        values = {quad_sq_dist(p, q) for p, q in itertools.combinations(points, 2)}
-        assert distinct == {exact.key_of(v) for v in values}
-        assert (() in distinct) == (len(set(points)) < count)
+        assert_rows_match(points, rng)
+
+
+def test_packed_keys_with_coefficients_above_64_bits():
+    # denominators of about 10**30, as sub2 makes them, and numerators past
+    # 2**64: the packed fields are wider than 8 bytes
+    rng = random.Random(3064)
+
+    def big():
+        return F(rng.randrange(-(2**70), 2**70), rng.randrange(10**29, 10**30))
+
+    for _ in range(25):
+        dim = rng.randrange(1, 4)
+        scalar = (lambda: QuadNum({1: big(), 5: big()})) if rng.randrange(2) else big
+        points = [tuple(scalar() for _ in range(dim)) for _ in range(rng.randrange(2, 5))]
+        points.append(rng.choice(points))
+        exact = assert_rows_match(points, rng)
+        assert max(abs(v) for key in exact.distinct_keys() for _, v in key) > 2**64
+
+
+def test_packed_keys_over_three_or_more_radicands():
+    # with radicands beyond 1, L and R differ: R carries the weights r of
+    # the squares and the swapped blocks of the cross terms
+    rng = random.Random(3333)
+    for _ in range(60):
+        rads = (1, *rng.sample((2, 3, 5, 6, 7, 10, 15, 21, 30), rng.randrange(2, 5)))
+        dim = rng.randrange(1, 4)
+
+        def coordinate():
+            chosen = rng.sample(rads, rng.randrange(4))
+            return QuadNum({rad: rand_coefficient(rng) for rad in chosen})
+
+        points = [tuple(coordinate() for _ in range(dim)) for _ in range(rng.randrange(2, 6))]
+        every = QuadNum({rad: F(rng.randrange(1, 37), rng.randrange(1, 13)) for rad in rads})
+        points[0] = (every, *points[0][1:])  # so that the basis holds every radicand
+        points.append(rng.choice(points))
+        exact = assert_rows_match(points, rng)
+        assert len(exact.radicands) >= 3
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+def test_packed_keys_at_field_bounds(width, monkeypatch):
+    # a field of w bytes holds the bound 2 * k * max L * max R up to
+    # 256**w - 1; at 256**w the next width is taken
+    assert jdist.exactnum._field_width(256**width - 1) == width
+    assert jdist.exactnum._field_width(256**width) > width
+    # points in [0, top]^2 with the origin and (top, top): k = 2, max L =
+    # max R = top, so the bound is 4 top^2, and the field of (top, top)
+    # against itself reaches it; it is 256**width for the larger top
+    rng = random.Random(width)
+    for top in (2 ** (4 * width - 1) - 1, 2 ** (4 * width - 1)):
+        corners = [(0, 0), (top, top)]
+        inner = [(rng.randrange(top + 1), rng.randrange(top + 1)) for _ in range(4)]
+        assert_rows_match(corners + inner, rng)
+        # the int.to_bytes fields that a big-endian host takes at every width
+        with monkeypatch.context() as patch:
+            patch.setattr(jdist.exactnum, "_FIELD_CODES", {})
+            assert_rows_match(corners + inner, rng)
+
+
+def test_packed_keys_of_degenerate_sets():
+    assert IntPointSet([]).distinct_keys() == set()
+    single = IntPointSet([(F(1, 2), QuadNum({2: 1}))])
+    assert single.distinct_keys() == set()
+    assert (single.row_keys(0, 0, 1), single.row_keys(0, 1, 1)) == ([()], [])
+    # points of dimension 0 all coincide
+    origin = IntPointSet([(), (), ()])
+    assert origin.distinct_keys() == {()}
+    assert origin.row_keys(1, 0, 3) == [(), (), ()]
+    # a coincident pair is the key (), next to other keys
+    point = (1, QuadNum({3: F(1, 2)}))
+    exact = IntPointSet([point, (0, 0), point])
+    assert exact.row_keys(0, 1, 3) == [exact.key_of(F(7, 4)), ()]
+    assert exact.distinct_keys() == {(), exact.key_of(F(7, 4))}
 
 
 def test_parse_format_round_trip():
