@@ -8,7 +8,8 @@ places where a printed reference total disagrees with recomputation
 
 The library returns plain data; this module alone shapes it into
 reports, with one builder per JSON record kind.  Each handler returns one
-:class:`Report`; :func:`run` renders it as text, JSON or CSV.
+:class:`Report`; :func:`run` renders it as text, JSON or CSV, and builds
+the JSON body only for JSON.
 
 Exit codes: 0 success, 1 when ``tables`` or ``sub2`` has a FAIL reference
 row, 2 invalid arguments or an ``--output`` path that cannot be written, 3
@@ -25,7 +26,7 @@ import io
 import itertools
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -34,9 +35,11 @@ from .exactnum import format_ratio, parse_quad
 from .families import (
     Parameters,
     addable_families,
-    enumerate_families,
     family_counts,
+    family_rows,
+    orbit_size,
     peak_is_addable,
+    scaled_levels,
     scaled_peak,
 )
 from .maximality import DEFAULT_BUDGET, DEFAULT_CAP, classify, verify_point_set
@@ -86,10 +89,10 @@ class Report:
     """One subcommand's report, shaped for each output format.
 
     ``rows`` and ``lines`` may be generators: :func:`run` consumes only the
-    one its format writes, once.
+    one its format writes, once, and calls ``results`` only for JSON.
     """
 
-    results: dict  # the JSON body
+    results: Callable[[], dict]  # builds the JSON body
     rows: Iterable  # the CSV table, header first
     lines: Iterable  # the text report
     code: int = 0  # the exit code
@@ -192,16 +195,18 @@ class _Ratios(dict):
         return text
 
 
-def _family_record(fam, ratios: _Ratios, **extra) -> dict:
-    """A candidate family, its levels formatted by ``ratios`` (over the
-    family's n); the ``extra`` keys follow the family's own."""
+def _family_record(m: int, offset: int, counts: tuple, size: int, ratios: _Ratios, **extra) -> dict:
+    """A candidate family of J(n, m) with ``size`` points, its levels
+    formatted by ``ratios`` (over n); the ``extra`` keys follow the
+    family's own."""
+    n = ratios.n
     return {
-        "n": fam.params.n,
-        "m": fam.params.m,
-        "k0": fam.offset,
-        "k": list(fam.counts),
-        "size": fam.size,
-        "levels": [ratios[v] for v in fam.scaled_levels()],
+        "n": n,
+        "m": m,
+        "k0": offset,
+        "k": list(counts),
+        "size": size,
+        "levels": [ratios[v] for v in scaled_levels(n, offset, len(counts))],
         **extra,
     }
 
@@ -239,7 +244,9 @@ def _classify_record(report, budget: int) -> dict:
         "m": params.m,
         "johnson_size": params.johnson_size,
         "addable_families": [
-            _family_record(f, ratios, johnson_spectrum=[str(v) for v in s])
+            _family_record(
+                params.m, f.offset, f.counts, f.size, ratios, johnson_spectrum=[str(v) for v in s]
+            )
             for f, s in zip(graph.families, graph.spectra)
         ],
         "universe_size": graph.size,
@@ -295,19 +302,19 @@ def _combination_record(combo) -> dict:
 
 def _cmd_n0(config: argparse.Namespace) -> Report:
     results = {"n": config.n, "special_factor": special_factor(config.n)}
-    return Report(results, _records(results, [results]), [str(results["special_factor"])])
+    return Report(lambda: results, _records(results, [results]), [str(results["special_factor"])])
 
 
 def _cmd_predicate(config: argparse.Namespace) -> Report:
     results = {"n": config.n, "m": config.m, "extendable": is_extendable(config.n, config.m)}
     lines = [f"not maximal: {_flag(results['extendable'])}"]
-    return Report(results, _records(results, [results]), lines)
+    return Report(lambda: results, _records(results, [results]), lines)
 
 
 def _cmd_families(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
     if config.addable_only:
-        families = addable_families(params)
+        families = [(f.offset, f.counts) for f in addable_families(params)]
     else:
         over = next((c for c in family_counts(params) if c > config.cap), None)
         if over is not None:
@@ -315,31 +322,37 @@ def _cmd_families(config: argparse.Namespace) -> Report:
                 f"at least {over} families exceed the cap {config.cap}; "
                 "raise --cap or pass --addable"
             )
-        families = enumerate_families(params)
+        families = family_rows(params)
     n, m = config.n, config.m
     ratios = _Ratios(n)  # levels and peaks share the denominator n
-    entries = []
-    for fam in families:
-        peak = scaled_peak(fam)
-        entries.append(
-            _family_record(
-                fam, ratios, addable=peak_is_addable(fam, peak), peak_sq_dist=ratios[peak]
-            )
+    # one (offset, counts, size, addable, peak text) per family, in every format
+    listed = []
+    for offset, counts in families:
+        peak = scaled_peak(n, m, offset, counts)
+        listed.append(
+            (offset, counts, orbit_size(n, counts), peak_is_addable(n, m, peak), ratios[peak])
         )
-    results = {"n": n, "m": m, "count": len(entries), "families": entries}
+
+    def results() -> dict:
+        entries = [
+            _family_record(m, offset, counts, size, ratios, addable=addable, peak_sq_dist=peak)
+            for offset, counts, size, addable, peak in listed
+        ]
+        return {"n": n, "m": m, "count": len(listed), "families": entries}
+
     lines = itertools.chain(
-        [f"families for n={n}, m={m}: {len(entries)}"],
+        [f"families for n={n}, m={m}: {len(listed)}"],
         (
-            f"  k0={e['k0']:>4}  k={tuple(e['k'])!s:<20} size={e['size']:>8} "
-            f"addable={_flag(e['addable']):<5} peak={e['peak_sq_dist']}"
-            for e in entries
+            f"  k0={offset:>4}  k={counts!s:<20} size={size:>8} "
+            f"addable={_flag(addable):<5} peak={peak}"
+            for offset, counts, size, addable, peak in listed
         ),
     )
     rows = itertools.chain(
         [("n", "m", "k0", "k", "size", "addable", "peak_sq_dist")],
         (
-            (n, m, e["k0"], " ".join(map(str, e["k"])), e["size"], e["addable"], e["peak_sq_dist"])
-            for e in entries
+            (n, m, offset, " ".join(map(str, counts)), size, addable, peak)
+            for offset, counts, size, addable, peak in listed
         ),
     )
     return Report(results, rows, lines)
@@ -373,7 +386,7 @@ def _cmd_classify(config: argparse.Namespace) -> Report:
         ("n", "m", "added", "total", "optimal"),
         (r["n"], r["m"], r["added_count"], r["maximal_set_cardinality"], r["optimal"]),
     ]
-    return Report(r, rows, lines, 0 if r["optimal"] else 3)
+    return Report(lambda: r, rows, lines, 0 if r["optimal"] else 3)
 
 
 def _table_status(report, expected) -> str:
@@ -403,7 +416,9 @@ def _cmd_tables(config: argparse.Namespace) -> Report:
         entries.append(
             {
                 "n": n,
-                "families": [_family_record(f, ratios) for f in families],
+                "families": [
+                    _family_record(m, f.offset, f.counts, f.size, ratios) for f in families
+                ],
                 "added": report.added_count if report else None,
                 "total": report.maximal_set_cardinality if report else None,
                 "optimal": report.optimal if report else None,
@@ -425,7 +440,7 @@ def _cmd_tables(config: argparse.Namespace) -> Report:
         code = 3
     else:
         code = 0
-    return Report({"m": m, "rows": entries}, rows, lines, code)
+    return Report(lambda: {"m": m, "rows": entries}, rows, lines, code)
 
 
 def _sub2_check(combo, added, bracket, disputed) -> str:
@@ -490,7 +505,7 @@ def _cmd_sub2(config: argparse.Namespace) -> Report:
     for combo in report.combinations:
         rows.append((n, " ".join(combo.labels), combo.added, combo.total, combo.maximal))
     code = 1 if any(item["status"] == "FAIL" for item in comparisons) else 0
-    return Report(results, rows, lines, code)
+    return Report(lambda: results, rows, lines, code)
 
 
 def _cmd_corollary(config: argparse.Namespace) -> Report:
@@ -504,7 +519,7 @@ def _cmd_corollary(config: argparse.Namespace) -> Report:
     rows = _records(("m", "closed_form", "scan_max", "status"), entries)
     header = ("m", "closed", "scan", "status")
     lines = ["largest extendable n per m"] + _columns((3, 7, 7), [header] + rows[1:])
-    return Report({"rows": entries}, rows, lines)
+    return Report(lambda: {"rows": entries}, rows, lines)
 
 
 def _parse_coordinate(value, parsed: dict):
@@ -549,7 +564,7 @@ def _cmd_verify(config: argparse.Namespace) -> Report | None:
         f"spectrum: {', '.join(results['spectrum'])}",
     ]
     rows = [("points", "valid", "spectrum"), (len(points), ok, " ".join(results["spectrum"]))]
-    return Report(results, rows, lines)
+    return Report(lambda: results, rows, lines)
 
 
 _HANDLERS = {
@@ -574,7 +589,7 @@ def run(config: argparse.Namespace, stream=None) -> int:
         envelope = {
             "command": config.subcommand,
             "arguments": _public_arguments(config),
-            "results": report.results,
+            "results": report.results(),
         }
         payload = encode_json(envelope) + "\n"
     elif config.fmt == "csv":

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .exactnum import squarefree_decompose
@@ -70,16 +70,7 @@ class CandidateFamily:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n, m = self.params.n, self.params.m
-        k = self.counts
-        if not k or k[0] <= 0 or k[-1] <= 0 or min(k) < 0:
-            raise ValueError(f"counts {k} not in canonical form")
-        if len(k) > m:
-            raise ValueError(f"too many levels: {len(k)} > m={m}")
-        if sum(k) != n:
-            raise ValueError(f"counts {k} do not sum to n={n}")
-        if sum(map(mul, k, range(1, len(k) + 1))) != 2 * n - self.offset - m:
-            raise ValueError(f"counts {k} violate the hyperplane condition for offset={self.offset}")
+        check_family(self.params.n, self.params.m, self.offset, self.counts)
 
     @staticmethod
     def canonical(params: Parameters, offset: int, counts: Sequence[int]) -> "CandidateFamily":
@@ -99,15 +90,11 @@ class CandidateFamily:
 
     def scaled_levels(self) -> tuple[int, ...]:
         """Level values times n; always integers."""
-        n = self.params.n
-        return tuple((2 - j) * n - self.offset for j in range(1, len(self.counts) + 1))
+        return scaled_levels(self.params.n, self.offset, len(self.counts))
 
     @property
     def size(self) -> int:
-        out = math.factorial(self.params.n)
-        for v in self.counts:
-            out //= math.factorial(v)
-        return out
+        return orbit_size(self.params.n, self.counts)
 
     def is_johnson_pattern(self) -> bool:
         m = self.params.m
@@ -125,6 +112,36 @@ class CandidateFamily:
             f"({v})^{c}" if c != 1 else f"({v})" for v, c in zip(self.levels, self.counts) if c
         )
         return f"({body})"
+
+
+def check_family(n: int, m: int, offset: int, counts: tuple[int, ...]) -> None:
+    """Raise ValueError unless ``counts`` with ``offset`` is a canonical
+    family of J(n, m): positive ends, no negative level, at most m levels,
+    n coordinates, and the hyperplane sum m."""
+    k = counts
+    if not k or k[0] <= 0 or k[-1] <= 0 or min(k) < 0:
+        raise ValueError(f"counts {k} not in canonical form")
+    if len(k) > m:
+        raise ValueError(f"too many levels: {len(k)} > m={m}")
+    if sum(k) != n:
+        raise ValueError(f"counts {k} do not sum to n={n}")
+    if sum(map(mul, k, range(1, len(k) + 1))) != 2 * n - offset - m:
+        raise ValueError(f"counts {k} violate the hyperplane condition for offset={offset}")
+
+
+def scaled_levels(n: int, offset: int, depth: int) -> tuple[int, ...]:
+    """n times the level values ``(2 - j) - offset/n``, j = 1..depth."""
+    return tuple(range(n - offset, n - offset - n * depth, -n))
+
+
+def orbit_size(n: int, counts: Sequence[int]) -> int:
+    """The orbit's point count, the multinomial n! / prod(c!), as a product
+    of binomials so that no factorial of n is formed."""
+    size = 1
+    for c in counts[:-1]:
+        size *= math.comb(n, c)
+        n -= c
+    return size
 
 
 @dataclass(frozen=True)
@@ -183,44 +200,40 @@ def scaled_johnson_points(params: Parameters) -> Iterator[tuple[int, ...]]:
         yield tuple(point)
 
 
-def _edge_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into ``parts`` parts, first and last > 0."""
-    if parts == 1:
-        if total > 0:
-            yield (total,)
-        return
+def _cut_walk(n: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(offset, counts)`` of every canonical candidate family but the
+    Johnson pattern, unchecked.
 
-    prefix = [0] * parts
+    Deterministic order: level count ascending, then multiplicities
+    lexicographically.  The d multiplicities of depth d are the gaps
+    between d - 1 cut points ``c_1 <= ... <= c_{d-1}`` in ``[0, n - 2]``,
+    framed by -1 and n - 1, so the ends are positive and the inner
+    levels may be empty; lexicographic cuts give lexicographic counts.
+    Summing ``j * counts[j-1]`` by parts makes the hyperplane offset
+    ``2n - m - d*n + sum(cuts) + d - 1``.
+    """
+    johnson_cuts = (m - 1,)  # counts (m, n - m): the only depth with one cut
+    for depth in range(1, m + 1):
+        base = 2 * n - m - depth * n + depth - 1
+        for cuts in itertools.combinations_with_replacement(range(n - 1), depth - 1):
+            if cuts != johnson_cuts:
+                yield base + sum(cuts), tuple(map(sub, cuts + (n - 1,), (-1,) + cuts))
 
-    def rec(idx: int, left: int) -> Iterator[tuple[int, ...]]:
-        if idx == parts - 1:
-            if left > 0:
-                prefix[idx] = left
-                yield tuple(prefix)
-            return
-        low = 1 if idx == 0 else 0
-        # keep at least one unit for the final part
-        for v in range(low, left):
-            prefix[idx] = v
-            yield from rec(idx + 1, left - v)
 
-    yield from rec(0, total)
+def family_rows(params: Parameters) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(offset, counts)`` of every family :func:`enumerate_families`
+    yields, in its order, each checked by :func:`check_family`."""
+    n, m = params.n, params.m
+    for offset, counts in _cut_walk(n, m):
+        check_family(n, m, offset, counts)
+        yield offset, counts
 
 
 def enumerate_families(params: Parameters) -> Iterator[CandidateFamily]:
-    """All canonical candidate families, excluding the Johnson pattern.
-
-    Deterministic order: level count ascending, then multiplicities
-    lexicographically.
-    """
-    n, m = params.n, params.m
-    for depth in range(1, m + 1):
-        for counts in _edge_compositions(n, depth):
-            offset = 2 * n - m - sum(j * v for j, v in enumerate(counts, 1))
-            fam = CandidateFamily(params, offset, counts)
-            if fam.is_johnson_pattern():
-                continue
-            yield fam
+    """All canonical candidate families, excluding the Johnson pattern, in
+    the order of :func:`_cut_walk`."""
+    for offset, counts in _cut_walk(params.n, params.m):
+        yield CandidateFamily(params, offset, counts)
 
 
 def family_counts(params: Parameters) -> Iterator[int]:
@@ -279,15 +292,15 @@ def profile_sq_dist(fam: CandidateFamily, profile: Sequence[int]) -> Fraction:
     realizing the given overlap profile."""
     if not is_valid_profile(fam, profile):
         raise ValueError(f"profile {tuple(profile)} invalid for counts {fam.counts}")
-    weight = sum((j - 1) * i for j, i in enumerate(profile, 1))
-    return Fraction(scaled_base(fam) + 2 * weight * fam.params.n, fam.params.n)
-
-
-def scaled_base(fam: CandidateFamily) -> int:
-    """n times the profile-independent part of the squared distance."""
     n, m = fam.params.n, fam.params.m
-    sq = sum(j * j * v for j, v in enumerate(fam.counts, 1))
-    return n * (4 * fam.offset + 3 * m - 4 * n + sq) - fam.offset * fam.offset
+    weight = sum((j - 1) * i for j, i in enumerate(profile, 1))
+    return Fraction(scaled_base(n, m, fam.offset, fam.counts) + 2 * weight * n, n)
+
+
+def scaled_base(n: int, m: int, offset: int, counts: Sequence[int]) -> int:
+    """n times the profile-independent part of the squared distance."""
+    sq = sum(j * j * v for j, v in enumerate(counts, 1))
+    return n * (4 * offset + 3 * m - 4 * n + sq) - offset * offset
 
 
 def _greedy_weight(counts: Sequence[int], m: int) -> int:
@@ -295,11 +308,11 @@ def _greedy_weight(counts: Sequence[int], m: int) -> int:
     left = m
     weight = 0
     for idx in range(len(counts) - 1, -1, -1):
-        take = min(counts[idx], left)
+        take = counts[idx]
+        if take >= left:
+            return weight + idx * left
         weight += idx * take
         left -= take
-        if left == 0:
-            break
     return weight
 
 
@@ -320,22 +333,22 @@ def max_profile(fam: CandidateFamily) -> Profile:
     return tuple(profile)
 
 
-def scaled_peak(fam: CandidateFamily) -> int:
+def scaled_peak(n: int, m: int, offset: int, counts: Sequence[int]) -> int:
     """n times the peak squared distance, at the :func:`max_profile` weight."""
-    return scaled_base(fam) + 2 * _greedy_weight(fam.counts, fam.params.m) * fam.params.n
+    return scaled_base(n, m, offset, counts) + 2 * _greedy_weight(counts, m) * n
 
 
 def max_sq_dist(fam: CandidateFamily) -> Fraction:
     """Peak squared distance between the Johnson points and the family."""
-    return Fraction(scaled_peak(fam), fam.params.n)
+    n = fam.params.n
+    return Fraction(scaled_peak(n, fam.params.m, fam.offset, fam.counts), n)
 
 
-def peak_is_addable(fam: CandidateFamily, scaled: int) -> bool:
-    """:func:`is_addable` given ``scaled = scaled_peak(fam)``."""
-    if fam.is_johnson_pattern():
-        return False
-    peak, rest = divmod(scaled, fam.params.n)
-    return rest == 0 and peak % 2 == 0 and peak <= 2 * fam.params.m
+def peak_is_addable(n: int, m: int, scaled: int) -> bool:
+    """Whether a family other than the Johnson pattern whose
+    :func:`scaled_peak` is ``scaled`` is addable (see :func:`is_addable`)."""
+    peak, rest = divmod(scaled, n)
+    return rest == 0 and peak % 2 == 0 and peak <= 2 * m
 
 
 def is_addable(fam: CandidateFamily) -> bool:
@@ -345,7 +358,10 @@ def is_addable(fam: CandidateFamily) -> bool:
     integers, so the whole orbit is compatible exactly when the peak is an
     even integer at most 2m.  The Johnson pattern itself is never addable.
     """
-    return peak_is_addable(fam, scaled_peak(fam))
+    n, m = fam.params.n, fam.params.m
+    if fam.is_johnson_pattern():
+        return False
+    return peak_is_addable(n, m, scaled_peak(n, m, fam.offset, fam.counts))
 
 
 def _addable_candidates(params: Parameters) -> Iterator[CandidateFamily]:

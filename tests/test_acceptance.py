@@ -147,7 +147,8 @@ def test_acceptance_08_contraction_properties():
                     depth = len(fam.counts)
                     if depth < 3:
                         continue
-                    peak = scaled_base(fam) + 2 * _greedy_weight(fam.counts, m) * n
+                    peak = scaled_base(n, m, fam.offset, fam.counts)
+                    peak += 2 * _greedy_weight(fam.counts, m) * n
                     if peak % n or (peak // n) % 2:
                         continue  # the conditional suite covers even peaks
                     checked += 1

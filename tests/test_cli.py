@@ -23,7 +23,14 @@ from jdist.cli import (
     run,
 )
 from jdist.exactnum import format_ratio
-from jdist.families import CandidateFamily, Parameters, enumerate_families, max_sq_dist, scaled_peak
+from jdist.families import (
+    CandidateFamily,
+    Parameters,
+    enumerate_families,
+    is_addable,
+    max_sq_dist,
+    scaled_peak,
+)
 from jdist.maximality import DEFAULT_CAP, classify
 from jdist.numbertheory import is_extendable, max_extendable_n
 
@@ -70,7 +77,8 @@ def test_families_command_addable():
 
 
 def test_families_listing_peak_is_fraction_text():
-    # the listing prints each peak from its scaled integer
+    # the listing prints each peak from its scaled integer, and each size
+    # and addable flag is the family's own
     for n in range(2, 17):
         for m in range(1, min(5, n // 2) + 1):
             code, out = invoke("families", str(n), str(m), "--format", "json")
@@ -82,6 +90,17 @@ def test_families_listing_peak_is_fraction_text():
             ]
             for f, e in zip(fams, listed):
                 assert e["peak_sq_dist"] == str(max_sq_dist(f)), (n, m, f.counts)
+                assert e["size"] == f.size, (n, m, f.counts)
+                assert e["addable"] is is_addable(f), (n, m, f.counts)
+
+
+def test_families_listing_of_a_million_coordinates():
+    # the one family of n = 10**6, m = 1 has size 1, found without forming n!
+    code, out = invoke("families", "1000000", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  k0=999999  k=(1000000,)           size=       1 addable=false peak=999999/1000000"
+    ]
 
 
 def test_classify_command_csv():
@@ -315,7 +334,7 @@ def test_families_listing_formats_each_family_own_values(n, m, capsys):
     for e in listed:
         fam = CandidateFamily(Parameters(n, m), e["k0"], tuple(e["k"]))
         assert e["levels"] == [format_ratio(v, n) for v in fam.scaled_levels()], e
-        assert e["peak_sq_dist"] == format_ratio(scaled_peak(fam), n), e
+        assert e["peak_sq_dist"] == format_ratio(scaled_peak(n, m, fam.offset, fam.counts), n), e
         denominators.update(text.partition("/")[2] or "1" for text in e["levels"])
     assert len(denominators) > 3
     # nothing carries over from one call to the next

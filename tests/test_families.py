@@ -14,15 +14,18 @@ from jdist.families import (
     Parameters,
     addable_families,
     bounded_compositions,
+    check_family,
     contracted_counts,
     enumerate_families,
     exists_addable,
     family_counts,
+    family_rows,
     is_addable,
     iter_profiles,
     johnson_points,
     max_profile,
     max_sq_dist,
+    orbit_size,
     peak_is_addable,
     profile_sq_dist,
     profile_weight_drop,
@@ -66,23 +69,35 @@ def test_johnson_points_on_hyperplane_with_pair_distances():
             assert d == 2 * (3 - overlap)
 
 
+# (n, m, offset, counts, the ValueError message pattern)
+BAD_FAMILIES = [
+    (9, 2, 5, (8, 1), r"violate the hyperplane condition for offset=5"),  # hyperplane sum off
+    (9, 2, 6, (8, 0), r"counts \(8, 0\) not in canonical form"),  # trailing zero
+    (9, 2, 0, (0, 9), r"counts \(0, 9\) not in canonical form"),  # leading zero
+    # a negative inner count, on the hyperplane
+    (9, 3, -3, (5, -1, 5), r"counts \(5, -1, 5\) not in canonical form"),
+    (9, 2, 0, (), r"counts \(\) not in canonical form"),
+    (9, 2, 15, (1, 7, 1), r"too many levels: 3 > m=2"),  # too many levels for m = 2
+    (9, 2, 7, (7, 1), r"counts \(7, 1\) do not sum to n=9"),
+]
+
+
 def test_candidate_family_validation():
     f = fam(9, 2, 6, (8, 1))
     assert f.levels == (F(1, 3), F(-2, 3))
-    with pytest.raises(ValueError, match=r"violate the hyperplane condition for offset=5"):
-        fam(9, 2, 5, (8, 1))  # hyperplane sum off
-    with pytest.raises(ValueError, match=r"counts \(8, 0\) not in canonical form"):
-        fam(9, 2, 6, (8, 0))  # trailing zero not canonical
-    with pytest.raises(ValueError, match=r"counts \(0, 9\) not in canonical form"):
-        fam(9, 2, 0, (0, 9))  # leading zero not canonical
-    with pytest.raises(ValueError, match=r"counts \(5, -1, 5\) not in canonical form"):
-        fam(9, 3, -3, (5, -1, 5))  # a negative inner count, on the hyperplane
-    with pytest.raises(ValueError, match=r"counts \(\) not in canonical form"):
-        fam(9, 2, 0, ())
-    with pytest.raises(ValueError, match=r"too many levels: 3 > m=2"):
-        fam(9, 2, 15, (1, 7, 1))  # too many levels for m = 2
-    with pytest.raises(ValueError, match=r"counts \(7, 1\) do not sum to n=9"):
-        fam(9, 2, 7, (7, 1))
+    for n, m, offset, counts, message in BAD_FAMILIES:
+        with pytest.raises(ValueError, match=message):
+            fam(n, m, offset, counts)
+
+
+@pytest.mark.parametrize("n, m, offset, counts, message", BAD_FAMILIES)
+def test_check_family_refuses_what_the_constructor_refuses(n, m, offset, counts, message):
+    # the listing's rows and the constructor share one validity check
+    with pytest.raises(ValueError, match=message) as direct:
+        check_family(n, m, offset, counts)
+    with pytest.raises(ValueError) as built:
+        fam(n, m, offset, counts)
+    assert str(direct.value) == str(built.value)
 
 
 def test_canonical_folds_edges():
@@ -96,6 +111,52 @@ def test_family_size():
     assert fam(9, 2, 6, (8, 1)).size == 9
     assert fam(16, 5, 8, (13, 3)).size == 560
     assert fam(49, 5, 42, (47, 2)).size == 1176
+    # the product of binomials is the multinomial n! / prod(c!)
+    for n, m in small_sizes():
+        for f in enumerate_families(Parameters(n, m)):
+            multinomial = math.factorial(n) // math.prod(map(math.factorial, f.counts))
+            assert f.size == orbit_size(n, f.counts) == multinomial, (n, m, f.counts)
+    # no n! is formed: a million coordinates on one level, or all but one
+    assert orbit_size(10**6, (10**6,)) == 1
+    assert orbit_size(10**6, (1, 10**6 - 1)) == orbit_size(10**6, (10**6 - 1, 1)) == 10**6
+
+
+def brute_force_rows(n, m):
+    """(offset, counts) of every canonical family but the Johnson pattern,
+    from all of range(n + 1) ** depth, by depth and then counts."""
+    rows = []
+    for depth in range(1, m + 1):
+        for counts in itertools.product(range(n + 1), repeat=depth):
+            if sum(counts) != n or counts[0] == 0 or counts[-1] == 0:
+                continue
+            offset = 2 * n - m - sum(j * k for j, k in enumerate(counts, 1))
+            if (offset, counts) != (0, (m, n - m)):
+                rows.append((offset, counts))
+    return rows
+
+
+def test_cut_walk_matches_brute_force(monkeypatch):
+    # every (n, m) with n <= 10: at most 11**5 tuples per depth
+    checked = []
+
+    def record(n, m, offset, counts):
+        checked.append((offset, counts))
+        return check_family(n, m, offset, counts)
+
+    monkeypatch.setattr(families, "check_family", record)
+    for n in range(2, 11):
+        for m in range(1, n // 2 + 1):
+            params = Parameters(n, m)
+            expected = brute_force_rows(n, m)
+            checked.clear()
+            rows = list(family_rows(params))
+            assert rows == expected, (n, m)
+            assert checked == expected, (n, m)  # each row went through the check
+            built = list(enumerate_families(params))
+            assert [(f.offset, f.counts) for f in built] == expected, (n, m)
+            depths = [len(counts) for _, counts in rows]
+            per_depth = [sum(1 for d in depths if d <= depth) for depth in range(1, m + 1)]
+            assert list(family_counts(params)) == per_depth, (n, m)
 
 
 def test_enumerate_families_examples():
@@ -192,7 +253,7 @@ def test_json_levels_are_fraction_text():
     for n, m in small_sizes():
         ratios = _Ratios(n)
         for f in enumerate_families(Parameters(n, m)):
-            record = _family_record(f, ratios)
+            record = _family_record(m, f.offset, f.counts, f.size, ratios)
             assert record["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
 
 
@@ -205,11 +266,11 @@ def test_is_addable_is_the_scaled_peak_rule():
         pattern = CandidateFamily(params, 0, (m, n - m)) if m >= 2 else None
         for f in itertools.chain(enumerate_families(params), [pattern] if pattern else []):
             peak = profile_sq_dist(f, max_profile(f))
-            assert scaled_peak(f) == peak * n and max_sq_dist(f) == peak
-            rule = (
-                f is not pattern and peak.denominator == 1 and peak % 2 == 0 and peak <= 2 * m
-            )
-            assert is_addable(f) == peak_is_addable(f, scaled_peak(f)) == rule, (n, m, f.counts)
+            scaled = scaled_peak(n, m, f.offset, f.counts)
+            assert scaled == peak * n and max_sq_dist(f) == peak
+            rule = peak.denominator == 1 and peak % 2 == 0 and peak <= 2 * m
+            assert peak_is_addable(n, m, scaled) == rule, (n, m, f.counts)
+            assert is_addable(f) == (f is not pattern and rule), (n, m, f.counts)
 
 
 def test_addable_families_matches_enumeration():

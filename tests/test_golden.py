@@ -115,6 +115,14 @@ def test_largest_listing_digest(fmt, capsys):
 
 
 @pytest.mark.parametrize("fmt", sorted(SUFFIX))
+@pytest.mark.parametrize("n, m", [(16, 5), (12, 6)])
+def test_deep_listing_digests(n, m, fmt, capsys):
+    # the only listings that walk multiplicity vectors of depth 5 and 6:
+    # 3,875 and 6,187 families, pinned by length and sha256 like families 25 4
+    assert_digest(f"families_{n}_{m}", ["families", str(n), str(m)], fmt, capsys)
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
 def test_complement_matching_digest(fmt, capsys):
     # classify 32 7 is the only report of the complement-matching structure
     # at this scale: 15,904 candidate points, 2**496 maximal cliques
