@@ -91,7 +91,8 @@ class QuadNum:
     radicands 0 and 1 are never factored.  It runs a factoring half, then a
     merge half; terms whose radicands are squarefree already (:meth:`of`, an
     ordering's two sides, :meth:`IntPointSet.value_of`,
-    :func:`solve_quadratic`) go through the merge half alone.
+    :func:`solve_quadratic`, the values of a ``SubFamily``) go through the
+    merge half alone.
 
     Distinct squarefree radicands are linearly independent over the
     rationals, so two values are equal exactly when their term tuples are
@@ -272,11 +273,15 @@ class IntPointSet:
     Every coordinate of every point is written ``(x_0 + x_1*sqrt(r_1) +
     ...) / D`` with integers ``x_i``, one common denominator ``D`` and one
     ascending squarefree basis ``radicands = (1, r_1, ...)`` shared by the
-    whole set.  ``vectors[k]`` holds point k flat, component-major: the
-    ``x_0`` of every coordinate, then the ``x_1`` of every coordinate, ...
-    The vectors are translated by their componentwise minimum, so that every
-    component is ``>= 0``; a translation changes no distance.  A point of no
-    coordinates is read as one zero coordinate.
+    whole set.  Within one construction each distinct coordinate object is
+    converted once, in a table keyed by its ``id``: a tuple of each point
+    holds every object for the whole call, so no id is reused, even for a
+    point such as a ``range`` that makes new objects on each iteration; no
+    value is hashed, so a float equal to an exact coordinate is still
+    refused.  Each ``x_i`` is translated by its minimum over that table,
+    one constant vector, so that every component is ``>= 0``; a
+    translation changes no distance.  A point of no coordinates is read as
+    one zero coordinate.
 
     The squared distance of two points is a sum of products ``x_i*x_j``,
     and ``sqrt(r_i*r_j) = s*sqrt(f)`` with ``f`` squarefree; the table of
@@ -286,49 +291,56 @@ class IntPointSet:
     shared, so two squared distances of one set are equal exactly when
     their keys are.  Keys of different sets do not compare.
 
-    Keys come from the Gram form: on each ``f`` the coefficient is ``B(p,
-    p) + B(q, q) - 2B(p, q)`` for a symmetric bilinear ``B(p, q) = <L(p),
-    R(q)>`` of ``k`` components (see :func:`_layout`), all ``>= 0``.  The
-    norms ``B(p, p)`` are summed once per point.  The dot products are
-    packed (Kronecker substitution): the ``R`` of all points lie end to end
-    in one byte string of little-endian fields of ``w`` bytes, and the ``L``
-    of each point, reversed and doubled, is one integer.  Multiplying
-    ``L(p)`` by the integer of the fields of a run of points puts ``2B(p,
-    q)`` in field ``(j + 1)k - 1`` of the product, for the j-th point q of
-    the run.  Each field of the product sums at most ``k`` products
-    ``2*L_i*R_j``, so it is at most ``2 * k * max L * max R``; ``w`` is the
-    fewest bytes (1, 2, 4 or 8, or the exact count above 8) that hold this
-    bound, so no carry crosses a field.  :meth:`row_keys` and
-    :meth:`distinct_keys` take one such product per ``f`` for one point
-    against a run of points.
+    Keys come from the Gram form: on each ``f`` the coefficient is ``D(p,
+    q) = B(p, p) + B(q, q) - 2B(p, q)`` for a symmetric bilinear ``B(p, q)
+    = <L(p), R(q)>`` gathered coordinate by coordinate (see
+    :func:`_layout`), with all components ``>= 0``.  The norms are folded
+    into the fields: with ``C`` the largest norm ``B(q, q)`` on f, each
+    point has the ``k`` components ``L(p), 1`` and ``2R(q), C - B(q, q)``.
+    The dot products are packed (Kronecker substitution): the second of all
+    points lie end to end in one byte string of little-endian fields of
+    ``w`` bytes, and the first of each point, reversed, is one integer.
+    Multiplying it by the integer of the fields of a run of points puts
+    ``B(a, a) + C - D(a, q)`` in field ``(j + 1)k - 1`` of the product, for
+    the j-th point q of the run, so a raw key is ``top - field`` with ``top
+    = B(a, a) + C``.  Each field of the product pairs the 1 with one
+    component, at most one ``C - B(q, q)`` with a component of ``L`` and at
+    most ``k - 1`` components of ``L`` with ``2R``, so it lies in ``[0, (k
+    - 1) * max L * max 2R + (max L + 1) * E + max 2R]`` with ``E`` the
+    largest ``C - B(q, q)``; ``w`` is the fewest bytes (1, 2, 4 or 8, or the
+    exact count above 8) that hold this bound, so no carry crosses a
+    field.  :meth:`row_keys` and :meth:`distinct_keys` take one such
+    product per ``f`` for one point against a run of points, collect its
+    distinct fields in one set (of tuples over several ``f``) and subtract
+    ``top`` from those alone.
     """
 
-    __slots__ = ("radicands", "denominator", "vectors", "_plan", "_forms", "_keys")
+    __slots__ = ("radicands", "denominator", "_size", "_plan", "_forms", "_keys")
 
     def __init__(self, points: Iterable[Sequence[Scalar]]):
-        terms = [[_scalar_terms(c) for c in p] for p in points]
-        dim = len(terms[0]) if terms else 0
-        if any(len(p) != dim for p in terms):
+        # a tuple of each point holds every coordinate object for the whole
+        # call, also where iterating a range or an array makes new ones
+        points = [tuple(p) for p in points]
+        dim = len(points[0]) if points else 0
+        if set(map(len, points)) - {dim}:
             raise ValueError("points have mixed dimensions")
-        dim = dim or 1  # so that every point has a field to pack
+        if not dim:  # so that every point has a field to pack
+            dim, points = 1, [(0,)] * len(points)
+        self._size = len(points)
+        # each coordinate object once; no id is reused while the tuples live
+        objects = dict(zip(map(id, chain.from_iterable(points)), chain.from_iterable(points)))
+        terms = {key: dict(_scalar_terms(c)) for key, c in objects.items()}
         radicands, denominators = {1}, {1}
-        for p in terms:
-            for c in p:
-                for rad, coeff in c:
-                    radicands.add(rad)
-                    denominators.add(coeff.denominator)
+        for c in terms.values():
+            radicands.update(c)
+            denominators.update(coeff.denominator for coeff in c.values())
         self.radicands = tuple(sorted(radicands))
         self.denominator = math.lcm(*denominators)
-        offset = {rad: i * dim for i, rad in enumerate(self.radicands)}
-        vectors = []
-        for p in terms:
-            flat = [0] * (len(self.radicands) * dim)
-            for k, c in enumerate(p):
-                for rad, coeff in c:
-                    flat[offset[rad] + k] = coeff.numerator * (self.denominator // coeff.denominator)
-            vectors.append(flat)
-        low = [min(component) for component in zip(*vectors)]
-        self.vectors = tuple(tuple(map(sub, flat, low)) for flat in vectors)
+        # id -> the integers x_i of one coordinate, translated
+        scale, basis = self.denominator, self.radicands
+        integers = {key: [int(c.get(r, 0) * scale) for r in basis] for key, c in terms.items()}
+        low = [min(column) for column in zip(*integers.values())]
+        components = {key: tuple(map(sub, x, low)) for key, x in integers.items()}
 
         # f -> the (i, j, weight) whose products x_i*x_j land on sqrt(f):
         # a square r_i^2 on f = 1 with weight r_i, and for i < j the cross
@@ -341,27 +353,31 @@ class IntPointSet:
                 f = (r // g) * (self.radicands[j] // g)
                 plan.setdefault(f, []).append((i, j, 2 * g))
         self._plan = tuple((f, tuple(plan[f])) for f in sorted(plan))
-        size = len(self.radicands) * dim
-        layouts = [_layout(products, dim, size) for _, products in self._plan]
-        self._forms = tuple(_gram_forms(layout, self.vectors) for layout in layouts)
+        # each point as the ids of its coordinates, then None for the
+        # component that folds in the norms
+        rows = [[*map(id, p), None] for p in points]
+        layouts = [_layout(products, len(basis)) for _, products in self._plan]
+        self._forms = tuple(_gram_forms(layout, components, rows, dim) for layout in layouts)
         self._keys: dict[tuple[int, ...], Key] = {}  # raw -> key, for row_keys
 
     def row_keys(self, a: int, start: int, stop: int) -> list[Key]:
         """Keys of point ``a`` against points ``start, ..., stop - 1``, for
-        ``0 <= start <= stop <= len(vectors)``."""
-        raws = list(_gram_row(self._forms, a, start, stop))
+        ``0 <= start <= stop <= size``."""
+        items, raws = _gram_row(self._forms, a, start, stop)
         keys = self._keys
-        for raw in set(raws).difference(keys):  # each value is keyed once per set
+        for raw in set(raws.values()).difference(keys):  # each value is keyed once per set
             keys[raw] = self._key(raw)
-        return list(map(keys.__getitem__, raws))
+        keyed = {item: keys[raw] for item, raw in raws.items()}
+        return list(map(keyed.__getitem__, items))
 
     def distinct_keys(self) -> set[Key]:
         """The set of keys over all pairs ``i < j``; ``()`` when two points
-        coincide.  Only distinct values are turned into keys."""
-        size = len(self.vectors)
+        coincide.  Each row's distinct fields are collected in one set, and
+        only distinct raw values are turned into keys."""
+        size = self._size
         raws = set()
         for a in range(size - 1):
-            raws.update(_gram_row(self._forms, a, a + 1, size))
+            raws.update(_gram_row(self._forms, a, a + 1, size)[1].values())
         return {self._key(raw) for raw in raws}
 
     def key_of(self, value: Scalar) -> Key:
@@ -380,44 +396,31 @@ class IntPointSet:
         return tuple((f, v) for (f, _), v in zip(self._plan, raw) if v)
 
 
-def _layout(products: tuple[tuple[int, int, int], ...], dim: int, size: int):
-    """Where ``B(p, q) = <L(p), R(q)>`` on one f reads flat vectors of
-    ``size`` integers.
+def _layout(products: tuple[tuple[int, int, int], ...], basis: int):
+    """Where ``B(p, q) = <L(p), R(q)>`` on one f reads one coordinate's
+    ``basis`` integers ``x_i``.
 
     The f coefficient of ``|p - q|^2`` sums ``weight * <p_i - q_i, p_j -
     q_j>`` over the plan entries ``(i, j, weight)`` of f, with ``p_i`` the
-    i-th component block of p.  That is ``B(p, p) + B(q, q) - 2B(p, q)``
-    when ``L(p)`` joins the blocks ``p_i`` of a square ``(i, i, r)`` and
-    ``p_i, p_j`` of a cross term ``(i, j, 2g)``, and ``R(q)`` joins the
-    matching ``r * q_i`` and ``g * q_j, g * q_i``.  Returns the gathers of
-    ``L`` and ``R`` (one object when they are equal), the factors of ``R``
-    (None when all are 1) and the length of ``L``.
+    ``x_i`` of all coordinates of p.  That is ``B(p, p) + B(q, q) - 2B(p,
+    q)`` when ``L(p)`` joins, coordinate by coordinate, the ``x_i`` of a
+    square ``(i, i, r)`` and the ``x_i, x_j`` of a cross term ``(i, j,
+    2g)``, and ``R(q)`` joins the matching ``r * x_i`` and ``g * x_j, g *
+    x_i``.  Returns the gathers of ``L`` and ``R`` and the factors of
+    ``2R``, all even.
     """
-    left, right, factors = [], [], []
+    pairs = []  # (index in L, index in R, factor of 2R)
     for i, j, weight in products:
-        block_i, block_j = range(i * dim, (i + 1) * dim), range(j * dim, (j + 1) * dim)
-        if i == j:
-            left += block_i
-            right += block_i
-            factors += [weight] * dim
-        else:
-            left += [*block_i, *block_j]
-            right += [*block_j, *block_i]
-            factors += [weight // 2] * (2 * dim)
-    take_left = _gather(left, size)
-    return (
-        take_left,
-        take_left if right == left else _gather(right, size),
-        None if all(c == 1 for c in factors) else tuple(factors),
-        len(left),
-    )
+        pairs += [(i, i, 2 * weight)] if i == j else [(i, j, weight), (j, i, weight)]
+    left, right, factors = zip(*pairs)
+    return _gather(left, basis), _gather(right, basis), factors
 
 
-def _gather(indices: list[int], size: int):
+def _gather(indices: tuple[int, ...], size: int):
     """A function taking ``v[i]`` for every ``i`` of ``indices``, as a tuple."""
-    if indices == list(range(size)):
+    if indices == tuple(range(size)):
         return tuple  # all of v, which a tuple returns without a copy
-    # any other gather reads a cross term's two blocks, so at least two
+    # any other gather reads a cross term's two integers, so at least two
     # indices, and itemgetter returns a tuple
     return itemgetter(*indices)
 
@@ -452,43 +455,62 @@ def _fields(data: bytes, width: int, first: int, step: int) -> Sequence[int]:
     return memoryview(data).cast(code)[first::step]
 
 
-def _gram_forms(layout, vectors) -> tuple[list[int], list[int], memoryview, int, int]:
-    """One f's norms ``B(p, p)``, doubled reversed ``L(p)`` integers, packed
-    ``R`` fields, ``L`` length and field width, for all ``vectors``, with
-    the given :func:`_layout`."""
-    take_left, take_right, factors, count = layout
-    lefts = list(map(take_left, vectors))
-    rights = lefts if take_right is take_left else list(map(take_right, vectors))
-    if factors is not None:
-        rights = [tuple(map(mul, factors, y)) for y in rights]
-    norms = [sum(map(mul, x, y)) for x, y in zip(lefts, rights)]
-    flat_lefts = list(chain.from_iterable(lefts))
-    flat_rights = flat_lefts if rights is lefts else list(chain.from_iterable(rights))
-    width = _field_width(2 * count * max(flat_lefts, default=0) * max(flat_rights, default=0))
+def _gram_forms(layout, components, rows, dim: int) -> tuple[list, list, memoryview, int, int]:
+    """One f's tops ``B(p, p) + C``, reversed ``L(p), 1`` integers, packed
+    ``2R(q), C - B(q, q)`` fields, component count ``k`` and field width,
+    for the points ``rows`` (coordinate ids, then None) of ``dim``
+    coordinates whose integers are ``components``, with the given
+    :func:`_layout`."""
+    take_left, take_right, factors = layout
+    # per coordinate object, its L, its 2R and its share of a norm B(p, p);
+    # None stands for the folded component, whose 2R entry is set below
+    left = {key: take_left(x) for key, x in components.items()}
+    right = {key: tuple(map(mul, factors, take_right(x))) for key, x in components.items()}
+    share = {key: sum(map(mul, left[key], right[key])) >> 1 for key in components}
+    max_left = max(chain.from_iterable(left.values()), default=0)
+    max_right = max(chain.from_iterable(right.values()), default=0)
+    left[None], right[None], share[None] = (1,), (0,), 0
+    norms = [sum(map(share.__getitem__, row)) for row in rows]
+    cap = max(norms, default=0)  # C
+    extra = cap - min(norms, default=0)  # the largest C - B(q, q)
+    count = len(factors) * dim + 1
+    keys = list(chain.from_iterable(rows))
+    flat_lefts = list(chain.from_iterable(map(left.__getitem__, keys)))
+    flat_rights = list(chain.from_iterable(map(right.__getitem__, keys)))
+    flat_rights[count - 1 :: count] = [cap - n for n in norms]
+    # a field pairs the 1 with one component of R, at most one C - B(q, q)
+    # with a component of L, and at most k - 1 components of L with 2R
+    width = _field_width((count - 1) * max_left * max_right + (max_left + 1) * extra + max_right)
     step = count * width  # bytes of one point's fields
     # all L reversed at once, so the points come last first: the reversed L
     # of point p ends p * step bytes before the end
     flipped = memoryview(_pack(flat_lefts[::-1], width))
     ends = range(len(flipped), 0, -step)
-    packed_lefts = [int.from_bytes(flipped[end - step : end], "little") << 1 for end in ends]
+    packed_lefts = [int.from_bytes(flipped[end - step : end], "little") for end in ends]
     packed_rights = memoryview(_pack(flat_rights, width))
-    return norms, packed_lefts, packed_rights, count, width
+    return [n + cap for n in norms], packed_lefts, packed_rights, count, width
 
 
-def _gram_row(forms, a: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """The raw keys of point ``a`` against points ``start, ..., stop - 1``:
-    one integer per f (zeros kept), from one product per f."""
-    per_f = []
-    for norms, lefts, rights, count, width in forms:
+def _gram_row(forms, a: int, start: int, stop: int) -> tuple[Sequence, dict]:
+    """Point ``a`` against the points ``q = start, ..., stop - 1``, from one
+    product per f: one item per q, its field ``top - D(a, q)`` with ``top =
+    B(a, a) + C`` for one f and the tuple of those fields for several, and
+    a dict from each distinct item to its raw key, ``D(a, q)`` per f."""
+    tops, fields = [], []
+    for f_tops, lefts, rights, count, width in forms:
         step = count * width  # bytes of one point's fields
         run = int.from_bytes(rights[start * step : stop * step], "little")
-        # the product fits (stop - start + 1) * count fields, and field
-        # (j + 1) * count - 1 is 2B(a, start + j)
-        product = (run * lefts[a]).to_bytes((stop - start + 1) * step, "little")
-        twice = _fields(product, width, count - 1, count)
-        norm = norms[a]
-        per_f.append([norm + n - d for n, d in zip(norms[start:stop], twice)])
-    return zip(*per_f)
+        # no carry crosses a field, so the product ends at the field where
+        # the top fields of both factors meet, (stop - start + 1) * count - 2;
+        # field (j + 1) * count - 1 belongs to the j-th point of the run
+        product = (run * lefts[a]).to_bytes((stop - start + 1) * step - width, "little")
+        tops.append(f_tops[a])
+        fields.append(_fields(product, width, count - 1, count))
+    if len(fields) == 1:
+        items = fields[0]
+        return items, {v: (tops[0] - v,) for v in set(items)}
+    items = list(zip(*fields))
+    return items, {v: tuple(map(sub, tops, v)) for v in set(items)}
 
 
 def solve_quadratic(a: object, b: object, c: object) -> tuple[QuadNum, QuadNum]:

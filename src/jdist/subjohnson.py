@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -55,7 +54,8 @@ class SubFamily:
     r: int
 
     def _value(self, p: int, q: int) -> QuadNum:
-        return QuadNum([(1, Fraction(p, self.r)), (self.f, Fraction(q, self.r))])
+        # f comes from a squarefree split, so nothing is factored again
+        return QuadNum._normal(((1, Fraction(p, self.r)), (self.f, Fraction(q, self.r))))
 
     @cached_property
     def a(self) -> QuadNum:
@@ -264,8 +264,8 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     recursion limit does not bound the set size.  Both sets are keyed over
     one shared :class:`IntPointSet`; points are padded with zero
     coordinates to the largest dimension, which changes no distance.  Each
-    distance matrix is keyed over its pairs ``i < j`` and mirrored: one
-    :meth:`IntPointSet.row_keys` row per point.
+    point is keyed against its own set by one :meth:`IntPointSet.row_keys`
+    row, and its sorted row is its profile.
     """
     if len(set_a) != len(set_b):
         return False
@@ -276,29 +276,19 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     points = [*set_a, *set_b]
     dim = max(map(len, points))
     exact = IntPointSet([(*p, *[0] * (dim - len(p))) for p in points])
-
-    def distances(offset):
-        # squared distances are symmetric and a point's own is the empty
-        # key (), so each unordered pair is keyed once
-        matrix = [[()] * size for _ in range(size)]
-        for i in range(size):
-            row = exact.row_keys(offset + i, offset + i + 1, offset + size)
-            for j, key in enumerate(row, i + 1):
-                matrix[i][j] = matrix[j][i] = key
-        return matrix
-
-    da = distances(0)
-    db = distances(size)
-
-    def signature(matrix, i):
-        return tuple(sorted(Counter(d for j, d in enumerate(matrix[i]) if j != i).items()))
-
-    sig_a = [signature(da, i) for i in range(size)]
-    sig_b = [signature(db, i) for i in range(size)]
+    da = [exact.row_keys(i, 0, size) for i in range(size)]
+    db = [exact.row_keys(size + i, size, 2 * size) for i in range(size)]
+    sig_a = [tuple(sorted(row)) for row in da]
+    sig_b = [tuple(sorted(row)) for row in db]
     if sorted(sig_a) != sorted(sig_b):
         return False
 
-    candidates = [[j for j in range(size) if sig_b[j] == sig_a[i]] for i in range(size)]
+    # profile -> the points of set_b with it, so that no two profiles (full
+    # rows) are compared pair by pair
+    images: dict[tuple, list[int]] = {}
+    for j, sig in enumerate(sig_b):
+        images.setdefault(sig, []).append(j)
+    candidates = [images[sig] for sig in sig_a]
     order = sorted(range(size), key=lambda i: len(candidates[i]))
     assigned: dict[int, int] = {}  # placed points of set_a -> images, in placement order
     used: set[int] = set()

@@ -234,6 +234,7 @@ def test_verify_command(tmp_path, capsys):
         '{"12": 1}',
         '"12"',
         "[[true, false], [false, true]]",
+        "[[1, 0], [1.0, 0]]",  # a float equal to a coordinate already read
         '[["1/0", "0"]]',
         huge_radicand,
         "[" * 100_000,  # nested past the recursion limit of the JSON decoder

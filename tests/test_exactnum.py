@@ -131,13 +131,14 @@ def test_rational_arithmetic_factors_nothing(monkeypatch):
 
     # the fixed-last-axis solve factors each discriminant once, 272 = 4^2 * 17,
     # 2448 = 12^2 * 17 and 1156 = 34^2 (negative for the last shape); the
-    # roots and b are built on first use, where the constructor checks the
-    # squarefree radicand 17 of the irrational ones
+    # roots, the lower slots and b are built on first use over the radicand
+    # 17 of that split, which is not factored again
     monkeypatch.setattr(jdist.subjohnson, "squarefree_decompose", counted)
     families = solve_sub_families(17)
     assert calls == [272, 2448, 1156]
-    assert all(f.a and f.b for f in families)
-    assert set(calls[3:]) == {17}
+    built = [v for f in families for v in (f.a, f.low, f.b)]
+    assert any(not v.is_rational() for v in built)
+    assert calls == [272, 2448, 1156]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ checks the same cases.
 import enum
 import itertools
 import json
+import math
 import random
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,8 @@ from jdist.exactnum import (
     parse_quad,
     solve_quadratic,
 )
+from jdist.maximality import four_distance_witness_points, verify_point_set
+from jdist.subjohnson import congruent, union_points
 from quadref import add, mul, neg, sqrt
 
 RADICANDS = (1, 2, 3, 5, 6, 15, 21)
@@ -141,24 +145,157 @@ def test_packed_keys_over_three_or_more_radicands():
         assert len(exact.radicands) >= 3
 
 
+def largest_packed_field(points):
+    """The largest field of every product of the packed kernel, by plain
+    convolution, for 2-D integer points whose least coordinate is 0: L(p),
+    1 = (x, y, 1) and 2R(q), C - B(q, q) = (2x, 2y, C - |q|^2)."""
+    norms = [x * x + y * y for x, y in points]
+    right = [v for (x, y), norm in zip(points, norms) for v in (2 * x, 2 * y, max(norms) - norm)]
+    largest = 0
+    for x, y in points:
+        fields = [0] * (len(right) + 2)
+        for shift, factor in enumerate((1, y, x)):  # L(p), 1 reversed
+            for t, v in enumerate(right, shift):
+                fields[t] += factor * v
+        largest = max(largest, *fields)
+    return largest
+
+
+def edge_points(total):
+    """Three 2-D integer points whose largest packed field is ``total``:
+    (t, s) against the origin and then (u, v) makes the field t(t^2 + s^2)
+    + 2su + 2v."""
+    for t in range(round(total ** (1 / 3)), 0, -1):
+        s = math.isqrt(max(0, total // t - t * t))
+        rest = total - t * (t * t + s * s)
+        if 0 < s <= t and rest % 2 == 0:
+            u, v = divmod(rest // 2, s)
+            points = [(t, s), (0, 0), (u, v)]
+            if u <= t and largest_packed_field(points) == total:
+                return points
+    raise AssertionError(f"no edge points for {total}")
+
+
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
 def test_packed_keys_at_field_bounds(width, monkeypatch):
-    # a field of w bytes holds the bound 2 * k * max L * max R up to
+    # a field of w bytes holds the bound of the packed kernel up to
     # 256**w - 1; at 256**w the next width is taken
     assert jdist.exactnum._field_width(256**width - 1) == width
     assert jdist.exactnum._field_width(256**width) > width
-    # points in [0, top]^2 with the origin and (top, top): k = 2, max L =
-    # max R = top, so the bound is 4 top^2, and the field of (top, top)
-    # against itself reaches it; it is 256**width for the larger top
+    # points in [0, top] with 0 and top: C = top^2, the components are L(x),
+    # 1 = x, 1 and 2R(x), C - B(x, x) = 2x, top^2 - x^2, so k = 2 and the
+    # bound is top * 2top + (top + 1) * top^2 + 2top = top(top + 1)(top + 2);
+    # the field of top against 0 is top^3.  The largest top with the bound
+    # below 256**w and the next one straddle the width
+    top = round(256 ** (width / 3)) - 1
+    if top * (top + 1) * (top + 2) >= 256**width:
+        top -= 1
+    assert jdist.exactnum._field_width(top * (top + 1) * (top + 2)) == width
+    assert jdist.exactnum._field_width((top + 1) * (top + 2) * (top + 3)) > width
     rng = random.Random(width)
-    for top in (2 ** (4 * width - 1) - 1, 2 ** (4 * width - 1)):
-        corners = [(0, 0), (top, top)]
-        inner = [(rng.randrange(top + 1), rng.randrange(top + 1)) for _ in range(4)]
-        assert_rows_match(corners + inner, rng)
+    sets = []
+    for end in (top, top + 1):
+        sets.append([(0,), (end,)] + [(rng.randrange(end + 1),) for _ in range(4)])
+    # points in [0, corner]^2 with the origin and (corner, corner), on both
+    # sides of 256**w = 4 corner^2, the bound of the layout without norms
+    for corner in (2 ** (4 * width - 1) - 1, 2 ** (4 * width - 1)):
+        inner = [(rng.randrange(corner + 1), rng.randrange(corner + 1)) for _ in range(4)]
+        sets.append([(0, 0), (corner, corner)] + inner)
+    # one field exactly 256**w, the largest of the set: a width of w bytes
+    # would carry it into the next field
+    edge = edge_points(256**width)
+    exact = IntPointSet(edge)
+    assert exact._forms[0][4] == jdist.exactnum._field_width(256**width) > width
+    sets.append(edge)
+    for points in sets:
+        assert_rows_match(points, rng)
         # the int.to_bytes fields that a big-endian host takes at every width
         with monkeypatch.context() as patch:
             patch.setattr(jdist.exactnum, "_FIELD_CODES", {})
-            assert_rows_match(corners + inner, rng)
+            assert_rows_match(points, rng)
+
+
+@pytest.mark.parametrize("scale", [10, 10**3, 10**6, 10**12, 10**24])
+def test_packed_keys_with_one_far_point(scale, monkeypatch):
+    # the far point sets the largest norm C, so the folded components C -
+    # B(q, q) of the points near the origin are the largest of R, and the
+    # fields that pair them with L are the largest of each product
+    rng = random.Random(scale)
+    for dim in (1, 3):
+        def small():
+            return QuadNum({1: rand_coefficient(rng), 2: F(rng.randrange(3), 5)})
+
+        near = [tuple(small() for _ in range(dim)) for _ in range(12)]
+        far = tuple(QuadNum({1: F(scale * rng.randrange(1, 9), 7), 2: scale}) for _ in range(dim))
+        points = near[:6] + [far] + near[6:]
+        exact = assert_rows_match(points, rng)
+        assert len(exact.radicands) == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(jdist.exactnum, "_FIELD_CODES", {})
+            assert_rows_match(points, rng)
+
+
+def test_each_coordinate_object_is_converted_once(monkeypatch):
+    calls = []
+    original = jdist.exactnum._scalar_terms
+
+    def counted(value):
+        calls.append(id(value))
+        return original(value)
+
+    monkeypatch.setattr(jdist.exactnum, "_scalar_terms", counted)
+    # the witness as verify reads it: one object per distinct value
+    shared = {}
+    witness = [tuple(shared.setdefault(c, c) for c in p) for p in four_distance_witness_points()]
+    union = union_points(9, ("S1+", "S3-", "S4-"))
+    for points, objects in ((witness, 8), (union, None)):
+        calls.clear()
+        exact = IntPointSet(points)
+        ids = {id(c) for p in points for c in p}
+        assert sorted(calls) == sorted(ids)
+        assert objects is None or len(ids) == objects
+        assert len(calls) < sum(map(len, points)) / 10
+        # the keys are those of each coordinate converted on its own
+        (key,) = exact.row_keys(0, len(points) - 1, len(points))
+        assert exact.value_of(key) == quad_sq_dist(points[0], points[-1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda points: IntPointSet(points),
+        lambda points: congruent(points, [(0, 0), (1, 1)]),
+        lambda points: congruent([(0, 0), (1, 1)], points),
+        lambda points: verify_point_set(points, 2),
+    ],
+    ids=["IntPointSet", "congruent", "congruent-second", "verify_point_set"],
+)
+def test_a_float_equal_to_a_coordinate_seen_is_refused(call):
+    # each coordinate object is converted, so 1.0 is refused after 1
+    with pytest.raises(TypeError, match="expected an exact scalar"):
+        call([(1, 0), (1.0, 0)])
+
+
+def test_points_that_make_new_coordinates_on_each_iteration():
+    # iterating a range or an array point makes new int objects each time,
+    # so the id of one may be freed and reused by another value
+    rng = random.Random(1003)
+    rows = [[rng.randrange(-500, 500) for _ in range(3)] for _ in range(9)]
+    starts = (1000, 1000, 1500)  # two coincident range points
+    tuples = [tuple(row) for row in rows] + [tuple(range(a, a + 3)) for a in starts]
+    expected = assert_rows_match(tuples, rng)
+    size = len(tuples)
+    for points in (
+        [array("q", row) for row in rows] + [range(a, a + 3) for a in starts],
+        [iter(p) for p in tuples],  # read once, as any iterable point
+    ):
+        exact = IntPointSet(points)
+        for a in range(size):
+            assert exact.row_keys(a, 0, size) == expected.row_keys(a, 0, size)
+        assert exact.distinct_keys() == expected.distinct_keys()
+    made = [array("q", row) for row in rows] + [range(a, a + 3) for a in starts]
+    assert verify_point_set(made, 60) == verify_point_set(tuples, 60)
+    assert verify_point_set(made, 60)[0]
 
 
 def test_packed_keys_of_degenerate_sets():
