@@ -313,8 +313,12 @@ def _cmd_predicate(config: argparse.Namespace) -> Report:
 
 def _cmd_families(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
+    n, m = config.n, config.m
     if config.addable_only:
-        families = [(f.offset, f.counts) for f in addable_families(params)]
+        families = (
+            (f.offset, f.counts, f.size, scaled_peak(n, m, f.offset, f.counts))
+            for f in addable_families(params)
+        )
     else:
         over = next((c for c in family_counts(params) if c > config.cap), None)
         if over is not None:
@@ -322,16 +326,22 @@ def _cmd_families(config: argparse.Namespace) -> Report:
                 f"at least {over} families exceed the cap {config.cap}; "
                 "raise --cap or pass --addable"
             )
+        # the balanced counts have the largest orbit and, bar J(4, 2)'s Johnson
+        # pattern, are listed: refuse just what str() would (8**d < 10**d first)
+        q, r = divmod(n, m)
+        largest = orbit_size(n, [q + 1] * r + [q] * (m - r))
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if digits and largest.bit_length() > 3 * digits and largest >= 10**digits:
+            raise ValueError(
+                f"orbit sizes pass the {digits}-digit int-to-str limit; lower n or pass --addable"
+            )
         families = family_rows(params)
-    n, m = config.n, config.m
     ratios = _Ratios(n)  # levels and peaks share the denominator n
     # one (offset, counts, size, addable, peak text) per family, in every format
-    listed = []
-    for offset, counts in families:
-        peak = scaled_peak(n, m, offset, counts)
-        listed.append(
-            (offset, counts, orbit_size(n, counts), peak_is_addable(n, m, peak), ratios[peak])
-        )
+    listed = [
+        (offset, counts, size, peak_is_addable(n, m, peak), ratios[peak])
+        for offset, counts, size, peak in families
+    ]
 
     def results() -> dict:
         entries = [

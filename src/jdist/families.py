@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 from typing import Iterator, Sequence
 
 from .exactnum import squarefree_decompose
@@ -200,39 +200,45 @@ def scaled_johnson_points(params: Parameters) -> Iterator[tuple[int, ...]]:
         yield tuple(point)
 
 
-def _cut_walk(n: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(offset, counts)`` of every canonical candidate family but the
-    Johnson pattern, unchecked.
-
-    Deterministic order: level count ascending, then multiplicities
-    lexicographically.  The d multiplicities of depth d are the gaps
-    between d - 1 cut points ``c_1 <= ... <= c_{d-1}`` in ``[0, n - 2]``,
-    framed by -1 and n - 1, so the ends are positive and the inner
-    levels may be empty; lexicographic cuts give lexicographic counts.
-    Summing ``j * counts[j-1]`` by parts makes the hyperplane offset
-    ``2n - m - d*n + sum(cuts) + d - 1``.
-    """
-    johnson_cuts = (m - 1,)  # counts (m, n - m): the only depth with one cut
-    for depth in range(1, m + 1):
-        base = 2 * n - m - depth * n + depth - 1
-        for cuts in itertools.combinations_with_replacement(range(n - 1), depth - 1):
-            if cuts != johnson_cuts:
-                yield base + sum(cuts), tuple(map(sub, cuts + (n - 1,), (-1,) + cuts))
+def _prefixes(n: int, j: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """``(counts, left, lin, sq, size)`` for the first j multiplicities of
+    every canonical family, lexicographically: ``left = n - sum(counts) >= 1``,
+    ``lin = sum(i * k_i)``, ``sq = sum(i * i * k_i)`` and ``size`` the product
+    of the binomials of :func:`orbit_size` so far, stepped along each level."""
+    if not j:
+        yield (), n, 0, 0, 1
+        return
+    for counts, left, lin, sq, size in _prefixes(n, j - 1):
+        size *= left if j == 1 else 1  # the first multiplicity starts at 1
+        for k in range(j == 1, left):
+            yield counts + (k,), left - k, lin + j * k, sq + j * j * k, size
+            size = size * (left - k) // (k + 1)  # C(left, k + 1) from C(left, k)
 
 
-def family_rows(params: Parameters) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(offset, counts)`` of every family :func:`enumerate_families`
-    yields, in its order, each checked by :func:`check_family`."""
+def family_rows(params: Parameters) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+    """``(offset, counts, size, peak)`` of every canonical candidate family
+    but the Johnson pattern, each checked by :func:`check_family`, with its
+    :func:`orbit_size` and :func:`scaled_peak`; by depth, then counts.
+
+    Depth d ends each prefix of d - 1 multiplicities (:func:`_prefixes`)
+    with the coordinates left, so the ends are positive and the inner
+    levels may be empty; the hyperplane gives the offset."""
     n, m = params.n, params.m
-    for offset, counts in _cut_walk(n, m):
-        check_family(n, m, offset, counts)
-        yield offset, counts
+    for depth in range(1, m + 1):
+        for prefix, left, lin, sq, size in _prefixes(n, depth - 1):
+            counts = prefix + (left,)
+            offset = 2 * n - m - lin - depth * left
+            if depth == 2 and not offset:
+                continue  # (m, n - m), the Johnson pattern
+            check_family(n, m, offset, counts)
+            sq += depth * depth * left
+            yield offset, counts, size, _base(n, m, offset, sq) + 2 * n * _greedy_weight(counts, m)
 
 
 def enumerate_families(params: Parameters) -> Iterator[CandidateFamily]:
     """All canonical candidate families, excluding the Johnson pattern, in
-    the order of :func:`_cut_walk`."""
-    for offset, counts in _cut_walk(params.n, params.m):
+    the order of :func:`family_rows`."""
+    for offset, counts, _, _ in family_rows(params):
         yield CandidateFamily(params, offset, counts)
 
 
@@ -299,7 +305,11 @@ def profile_sq_dist(fam: CandidateFamily, profile: Sequence[int]) -> Fraction:
 
 def scaled_base(n: int, m: int, offset: int, counts: Sequence[int]) -> int:
     """n times the profile-independent part of the squared distance."""
-    sq = sum(j * j * v for j, v in enumerate(counts, 1))
+    return _base(n, m, offset, sum(j * j * v for j, v in enumerate(counts, 1)))
+
+
+def _base(n: int, m: int, offset: int, sq: int) -> int:
+    """:func:`scaled_base` from ``sq = sum(j * j * k_j)``."""
     return n * (4 * offset + 3 * m - 4 * n + sq) - offset * offset
 
 

@@ -103,6 +103,39 @@ def test_families_listing_of_a_million_coordinates():
     ]
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_listing_past_the_digit_limit_is_refused_before_any_row(monkeypatch, capsys):
+    walked = []
+    walk = jdist.cli.family_rows
+    monkeypatch.setattr(jdist.cli, "family_rows", lambda p: walked.append(p) or walk(p))
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, n in ((640, 2200), (4300, 15000)):  # C(2200, 1100) has 661 digits
+            sys.set_int_max_str_digits(digits)
+            for fmt in ("text", "json", "csv"):
+                assert main(["families", str(n), "2", "--format", fmt]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.count("\n") == 1
+                assert f"the {digits}-digit int-to-str limit" in captured.err
+        assert walked == []
+        # the largest n that prints at 640 digits still prints; the next is refused
+        sys.set_int_max_str_digits(640)
+        n = max(n for n in range(2100, 2200) if math.comb(n, n // 2) < 10**640)
+        assert invoke("families", str(n), "2", "--format", "csv")[0] == 0
+        assert main(["families", str(n + 1), "2"]) == 2
+        # a limit of 0 refuses nothing, nor does an interpreter without the limit
+        sys.set_int_max_str_digits(0)
+        assert invoke("families", "2200", "2")[0] == 0
+        sys.set_int_max_str_digits(640)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        with pytest.raises(ValueError, match="integer string conversion"):
+            invoke("families", "2200", "2")  # str() itself refuses, once rows are built
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_classify_command_csv():
     code, out = invoke("classify", "9", "3", "--format", "csv")
     assert code == 0

@@ -150,13 +150,28 @@ def test_cut_walk_matches_brute_force(monkeypatch):
             expected = brute_force_rows(n, m)
             checked.clear()
             rows = list(family_rows(params))
-            assert rows == expected, (n, m)
+            assert [row[:2] for row in rows] == expected, (n, m)
             assert checked == expected, (n, m)  # each row went through the check
+            for offset, counts, size, peak in rows:
+                f = CandidateFamily(params, offset, counts)
+                assert size == math.factorial(n) // math.prod(map(math.factorial, counts))
+                assert peak == n * max(profile_sq_dist(f, p) for p in iter_profiles(f)), f
             built = list(enumerate_families(params))
             assert [(f.offset, f.counts) for f in built] == expected, (n, m)
-            depths = [len(counts) for _, counts in rows]
+            depths = [len(counts) for _, counts, _, _ in rows]
             per_depth = [sum(1 for d in depths if d <= depth) for depth in range(1, m + 1)]
             assert list(family_counts(params)) == per_depth, (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(300, 2), (60, 3)])
+def test_walk_carries_big_orbit_sizes(n, m):
+    # sizes past 2**64 (89 digits for n = 300), each stepped along its level
+    # as C(left, k + 1) = C(left, k) * (left - k) // (k + 1)
+    params = Parameters(n, m)
+    rows = list(family_rows(params))
+    assert len(rows) == list(family_counts(params))[-1]
+    assert all(size == orbit_size(n, counts) for _, counts, size, _ in rows)
+    assert max(size for *_, size, _ in rows) > 2**64
 
 
 def test_enumerate_families_examples():

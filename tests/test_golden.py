@@ -115,10 +115,11 @@ def test_largest_listing_digest(fmt, capsys):
 
 
 @pytest.mark.parametrize("fmt", sorted(SUFFIX))
-@pytest.mark.parametrize("n, m", [(16, 5), (12, 6)])
+@pytest.mark.parametrize("n, m", [(16, 5), (12, 6), (300, 2)])
 def test_deep_listing_digests(n, m, fmt, capsys):
-    # the only listings that walk multiplicity vectors of depth 5 and 6:
-    # 3,875 and 6,187 families, pinned by length and sha256 like families 25 4
+    # the only listings that walk multiplicity vectors of depth 5 and 6
+    # (3,875 and 6,187 families) and one whose orbit sizes run to 89 digits,
+    # each stepped from its neighbour's, pinned by length and sha256
     assert_digest(f"families_{n}_{m}", ["families", str(n), str(m)], fmt, capsys)
 
 
