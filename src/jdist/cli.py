@@ -35,8 +35,8 @@ from .exactnum import format_ratio, parse_quad
 from .families import (
     Parameters,
     addable_families,
+    enumerate_families,
     family_counts,
-    family_rows,
     orbit_size,
     peak_is_addable,
     scaled_levels,
@@ -263,8 +263,8 @@ def _classify_record(report, budget: int) -> dict:
     s = report.clique_structure
     if s is not None:
         record["maximal_clique_sizes"] = {
-            "min": s.min_size,
-            "max": s.max_size,
+            "min": s.size,
+            "max": s.size,
             "count": s.count,
             "exhaustive": True,
             "method": "complement-matching",
@@ -335,7 +335,7 @@ def _cmd_families(config: argparse.Namespace) -> Report:
             raise ValueError(
                 f"orbit sizes pass the {digits}-digit int-to-str limit; lower n or pass --addable"
             )
-        families = family_rows(params)
+        families = enumerate_families(params)
     ratios = _Ratios(n)  # levels and peaks share the denominator n
     # one (offset, counts, size, addable, peak text) per family, in every format
     listed = [

@@ -215,10 +215,12 @@ def _prefixes(n: int, j: int) -> Iterator[tuple[tuple[int, ...], int, int, int, 
             size = size * (left - k) // (k + 1)  # C(left, k + 1) from C(left, k)
 
 
-def family_rows(params: Parameters) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+def enumerate_families(params: Parameters) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
     """``(offset, counts, size, peak)`` of every canonical candidate family
     but the Johnson pattern, each checked by :func:`check_family`, with its
-    :func:`orbit_size` and :func:`scaled_peak`; by depth, then counts.
+    :func:`orbit_size` and :func:`scaled_peak`; by depth, then counts.  Rows,
+    not :class:`CandidateFamily` objects; a caller that needs one builds
+    ``CandidateFamily(params, offset, counts)``.
 
     Depth d ends each prefix of d - 1 multiplicities (:func:`_prefixes`)
     with the coordinates left, so the ends are positive and the inner
@@ -235,15 +237,8 @@ def family_rows(params: Parameters) -> Iterator[tuple[int, tuple[int, ...], int,
             yield offset, counts, size, _base(n, m, offset, sq) + 2 * n * _greedy_weight(counts, m)
 
 
-def enumerate_families(params: Parameters) -> Iterator[CandidateFamily]:
-    """All canonical candidate families, excluding the Johnson pattern, in
-    the order of :func:`family_rows`."""
-    for offset, counts, _, _ in family_rows(params):
-        yield CandidateFamily(params, offset, counts)
-
-
 def family_counts(params: Parameters) -> Iterator[int]:
-    """How many families :func:`enumerate_families` has yielded once each
+    """How many rows :func:`enumerate_families` has yielded once each
     depth 1..m is done, in closed form, without enumerating.
 
     Depth d >= 2 has the C(n + d - 3, d - 1) compositions of n into d parts
@@ -381,7 +376,7 @@ def _addable_candidates(params: Parameters) -> Iterator[CandidateFamily]:
     family needs ``n | offset^2``, i.e. an offset divisible by the smallest
     d with n | d^2.  With the tail multiplicities (levels 3..l) fixed, the
     offset is linear in the second multiplicity, leaving one residue class
-    to scan.  Equivalent to filtering :func:`enumerate_families`.
+    to scan.  Equivalent to filtering :func:`enumerate_families` by :func:`peak_is_addable`.
 
     Mean-distance bound.  Take x with sum(x) = m.  The indicator e_S of an
     m-subset S averages to m/n in every coordinate, so the mean of

@@ -90,10 +90,9 @@ class MaxCliqueResult:
 
 @dataclass(frozen=True)
 class CliqueStructure:
-    """Summary of *all* maximal cliques of a universe whose conflicts form a matching."""
+    """*All* maximal cliques of a universe whose conflicts form a matching: one size, a count."""
 
-    min_size: int
-    max_size: int
+    size: int
     count: int
 
 
@@ -335,7 +334,7 @@ def max_clique(universe: CandidateUniverse, budget: int = DEFAULT_BUDGET) -> Max
 
 
 def maximal_clique_structure(universe: CandidateUniverse) -> CliqueStructure | None:
-    """Size range over *all* maximal cliques, when the conflicts form a matching.
+    """Size and count of *all* maximal cliques, when the conflicts form a matching.
 
     When every vertex has at most one conflict, every maximal clique
     consists of all unpaired vertices plus exactly one endpoint per
@@ -347,8 +346,7 @@ def maximal_clique_structure(universe: CandidateUniverse) -> CliqueStructure | N
     if any(mask & (mask - 1) for mask in universe.conflicts):
         return None
     pairs = sum(1 for mask in universe.conflicts if mask) // 2
-    clique_size = universe.size - pairs
-    return CliqueStructure(clique_size, clique_size, 2**pairs)
+    return CliqueStructure(universe.size - pairs, 2**pairs)
 
 
 def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):

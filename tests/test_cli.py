@@ -14,6 +14,7 @@ import pytest
 
 import jdist.cli
 import jdist.exactnum
+from familyref import candidate_families
 from jdist.cli import (
     SUB2_EXPECTED,
     TABLES_EXPECTED,
@@ -84,7 +85,7 @@ def test_families_listing_peak_is_fraction_text():
             code, out = invoke("families", str(n), str(m), "--format", "json")
             assert code == 0
             listed = json.loads(out)["results"]["families"]
-            fams = list(enumerate_families(Parameters(n, m)))
+            fams = list(candidate_families(Parameters(n, m)))
             assert [(e["k0"], tuple(e["k"])) for e in listed] == [
                 (f.offset, f.counts) for f in fams
             ]
@@ -108,8 +109,8 @@ def test_families_listing_of_a_million_coordinates():
 )
 def test_listing_past_the_digit_limit_is_refused_before_any_row(monkeypatch, capsys):
     walked = []
-    walk = jdist.cli.family_rows
-    monkeypatch.setattr(jdist.cli, "family_rows", lambda p: walked.append(p) or walk(p))
+    walk = jdist.cli.enumerate_families
+    monkeypatch.setattr(jdist.cli, "enumerate_families", lambda p: walked.append(p) or walk(p))
     limit = sys.get_int_max_str_digits()
     try:
         for digits, n in ((640, 2200), (4300, 15000)):  # C(2200, 1100) has 661 digits
@@ -134,6 +135,32 @@ def test_listing_past_the_digit_limit_is_refused_before_any_row(monkeypatch, cap
             invoke("families", "2200", "2")  # str() itself refuses, once rows are built
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_listing_walks_the_families_once(monkeypatch):
+    # every format of the full listing reads one walk, and counts what it yielded
+    walk = jdist.cli.enumerate_families
+    walks, rows = [], []
+
+    def traced(params):
+        walks.append(params)
+        for row in walk(params):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(jdist.cli, "enumerate_families", traced)
+    for fmt in ("text", "json", "csv"):
+        walks.clear()
+        rows.clear()
+        code, out = invoke("families", "9", "3", "--format", fmt)
+        assert code == 0 and walks == [Parameters(9, 3)], fmt
+        if fmt == "json":
+            count = json.loads(out)["results"]["count"]
+        elif fmt == "text":
+            count = int(out.splitlines()[0].rsplit(": ", 1)[1])  # families for n=9, m=3: 44
+        else:
+            count = len(out.splitlines()) - 1  # a header, then one row per family
+        assert count == len(rows) == 44, fmt
 
 
 def test_classify_command_csv():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from familyref import candidate_families
 from jdist import families
 from jdist.cli import _family_record, _Ratios
 from jdist.families import (
@@ -19,7 +20,6 @@ from jdist.families import (
     enumerate_families,
     exists_addable,
     family_counts,
-    family_rows,
     is_addable,
     iter_profiles,
     johnson_points,
@@ -113,9 +113,9 @@ def test_family_size():
     assert fam(49, 5, 42, (47, 2)).size == 1176
     # the product of binomials is the multinomial n! / prod(c!)
     for n, m in small_sizes():
-        for f in enumerate_families(Parameters(n, m)):
-            multinomial = math.factorial(n) // math.prod(map(math.factorial, f.counts))
-            assert f.size == orbit_size(n, f.counts) == multinomial, (n, m, f.counts)
+        for _, counts, size, _ in enumerate_families(Parameters(n, m)):
+            multinomial = math.factorial(n) // math.prod(map(math.factorial, counts))
+            assert size == orbit_size(n, counts) == multinomial, (n, m, counts)
     # no n! is formed: a million coordinates on one level, or all but one
     assert orbit_size(10**6, (10**6,)) == 1
     assert orbit_size(10**6, (1, 10**6 - 1)) == orbit_size(10**6, (10**6 - 1, 1)) == 10**6
@@ -149,15 +149,15 @@ def test_cut_walk_matches_brute_force(monkeypatch):
             params = Parameters(n, m)
             expected = brute_force_rows(n, m)
             checked.clear()
-            rows = list(family_rows(params))
+            rows = list(enumerate_families(params))
             assert [row[:2] for row in rows] == expected, (n, m)
-            assert checked == expected, (n, m)  # each row went through the check
+            # each row went through the check once, so no CandidateFamily,
+            # whose constructor runs it too, was built by the walk
+            assert checked == expected, (n, m)
             for offset, counts, size, peak in rows:
                 f = CandidateFamily(params, offset, counts)
                 assert size == math.factorial(n) // math.prod(map(math.factorial, counts))
                 assert peak == n * max(profile_sq_dist(f, p) for p in iter_profiles(f)), f
-            built = list(enumerate_families(params))
-            assert [(f.offset, f.counts) for f in built] == expected, (n, m)
             depths = [len(counts) for _, counts, _, _ in rows]
             per_depth = [sum(1 for d in depths if d <= depth) for depth in range(1, m + 1)]
             assert list(family_counts(params)) == per_depth, (n, m)
@@ -168,39 +168,41 @@ def test_walk_carries_big_orbit_sizes(n, m):
     # sizes past 2**64 (89 digits for n = 300), each stepped along its level
     # as C(left, k + 1) = C(left, k) * (left - k) // (k + 1)
     params = Parameters(n, m)
-    rows = list(family_rows(params))
+    rows = list(enumerate_families(params))
     assert len(rows) == list(family_counts(params))[-1]
     assert all(size == orbit_size(n, counts) for _, counts, size, _ in rows)
     assert max(size for *_, size, _ in rows) > 2**64
 
 
+def addable_rows(n, m):
+    """``(offset, counts)`` of the listed families whose peak is addable."""
+    return [
+        (offset, counts)
+        for offset, counts, _, peak in enumerate_families(Parameters(n, m))
+        if peak_is_addable(n, m, peak)
+    ]
+
+
 def test_enumerate_families_examples():
-    found92 = {(f.offset, f.counts) for f in enumerate_families(Parameters(9, 2))}
+    found92 = {(o, k) for o, k, _, _ in enumerate_families(Parameters(9, 2))}
     assert (6, (8, 1)) in found92
     assert all(not CandidateFamily(Parameters(9, 2), o, k).is_johnson_pattern() for o, k in found92)
 
-    addable92 = [f for f in enumerate_families(Parameters(9, 2)) if is_addable(f)]
-    assert [(f.offset, f.counts) for f in addable92] == [(6, (8, 1))]
-
-    addable83 = [f for f in enumerate_families(Parameters(8, 3)) if is_addable(f)]
-    assert [(f.offset, f.counts) for f in addable83] == [(4, (7, 1))]
-
-    addable93 = sorted(
-        (f.offset, f.counts) for f in enumerate_families(Parameters(9, 3)) if is_addable(f)
-    )
-    assert addable93 == [(-3, (1, 7, 1)), (6, (9,))]
+    assert addable_rows(9, 2) == [(6, (8, 1))]
+    assert addable_rows(8, 3) == [(4, (7, 1))]
+    assert sorted(addable_rows(9, 3)) == [(-3, (1, 7, 1)), (6, (9,))]
 
 
 def test_enumerate_excludes_johnson_pattern():
     for n, m in ((4, 2), (6, 3), (9, 2)):
-        assert all(not f.is_johnson_pattern() for f in enumerate_families(Parameters(n, m)))
+        assert all(not f.is_johnson_pattern() for f in candidate_families(Parameters(n, m)))
 
 
 def test_family_counts_match_the_enumeration():
     for m in range(1, 6):
         for n in range(2 * m, 15):
             params = Parameters(n, m)
-            depths = [len(f.counts) for f in enumerate_families(params)]
+            depths = [len(counts) for _, counts, _, _ in enumerate_families(params)]
             counts = [sum(1 for d in depths if d <= depth) for depth in range(1, m + 1)]
             assert list(family_counts(params)) == counts, (n, m)
     assert list(family_counts(Parameters(25, 4)))[-1] == 2924
@@ -235,7 +237,7 @@ def test_max_profile_examples():
     assert max_profile(fam(9, 3, -3, (1, 7, 1))) == (0, 2, 1)
     assert max_profile(fam(8, 3, 4, (7, 1))) == (2, 1)
     assert max_profile(CandidateFamily(Parameters(9, 3), 0, (3, 6))) == (0, 3)
-    for f in enumerate_families(Parameters(8, 4)):
+    for f in candidate_families(Parameters(8, 4)):
         best = max(
             sum((j - 1) * i for j, i in enumerate(p, 1)) for p in iter_profiles(f)
         )
@@ -253,7 +255,7 @@ def test_is_addable_examples():
     assert is_addable(fam(9, 2, 6, (8, 1)))
     assert not is_addable(fam(9, 2, 3, (5, 4)))
     assert not is_addable(CandidateFamily(Parameters(9, 2), 0, (2, 7)))
-    for f in enumerate_families(Parameters(8, 2)):
+    for f in candidate_families(Parameters(8, 2)):
         assert not is_addable(f)
 
 
@@ -267,7 +269,7 @@ def test_json_levels_are_fraction_text():
     # building Fractions, through one memo shared by every family of a listing
     for n, m in small_sizes():
         ratios = _Ratios(n)
-        for f in enumerate_families(Parameters(n, m)):
+        for f in candidate_families(Parameters(n, m)):
             record = _family_record(m, f.offset, f.counts, f.size, ratios)
             assert record["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
 
@@ -279,7 +281,7 @@ def test_is_addable_is_the_scaled_peak_rule():
         params = Parameters(n, m)
         # the Johnson pattern has two levels, so it is a family for m >= 2 only
         pattern = CandidateFamily(params, 0, (m, n - m)) if m >= 2 else None
-        for f in itertools.chain(enumerate_families(params), [pattern] if pattern else []):
+        for f in itertools.chain(candidate_families(params), [pattern] if pattern else []):
             peak = profile_sq_dist(f, max_profile(f))
             scaled = scaled_peak(n, m, f.offset, f.counts)
             assert scaled == peak * n and max_sq_dist(f) == peak
@@ -294,7 +296,7 @@ def test_addable_families_matches_enumeration():
     sizes = [(n, m) for n in range(4, 21) for m in range(2, min(5, n // 2) + 1)]
     for n, m in sizes + [(n, 6) for n in range(12, 17)]:
         params = Parameters(n, m)
-        full = [(f.offset, f.counts) for f in enumerate_families(params) if is_addable(f)]
+        full = addable_rows(n, m)
         fast = [(f.offset, f.counts) for f in addable_families(params)]
         assert full == fast, (n, m)
         assert exists_addable(params) == bool(full)
@@ -305,7 +307,7 @@ def test_addable_families_obey_mean_distance_bound():
     # D = sum((x_i - m/n)^2), so every addable family has n*D <= n*m + m^2
     for n in range(4, 21):
         for m in range(1, min(6, n // 2) + 1):
-            for f in enumerate_families(Parameters(n, m)):
+            for f in candidate_families(Parameters(n, m)):
                 if not is_addable(f):
                     continue
                 spread = sum(k * (v - F(m, n)) ** 2 for v, k in zip(f.levels, f.counts))
@@ -330,12 +332,12 @@ def test_addable_search_prunes_by_the_mean_distance_bound(monkeypatch):
         for m in range(1, min(6, n // 2) + 1):
             limit = n * m + m * m
             expected = []
-            for f in enumerate_families(Parameters(n, m)):
-                levels = [1] + [j for j, k in enumerate(f.counts, 1) if j > 2 for _ in range(k)]
+            for offset, counts, _, _ in enumerate_families(Parameters(n, m)):
+                levels = [1] + [j for j, k in enumerate(counts, 1) if j > 2 for _ in range(k)]
                 c, s1, s2 = len(levels), sum(levels), sum(j * j for j in levels)
                 bounded = n * (c * s2 - s1 * s1) <= c * limit
-                if len(f.counts) == 1 or (f.offset % step == 0 and bounded):
-                    expected.append((f.offset, f.counts))
+                if len(counts) == 1 or (offset % step == 0 and bounded):
+                    expected.append((offset, counts))
             checked.clear()
             addable_families(Parameters(n, m))
             assert sorted(checked) == sorted(expected), (n, m)
@@ -347,7 +349,7 @@ def test_reduce_step_examples():
     assert (r.offset, r.counts) == (6, (9,))
     with pytest.raises(NotReducible):
         reduce_step(r)
-    for g in enumerate_families(Parameters(20, 4)):
+    for g in candidate_families(Parameters(20, 4)):
         if len(g.counts) == 4:
             h = reduce_step(g)
             assert sum(h.counts) == 20
@@ -355,13 +357,13 @@ def test_reduce_step_examples():
 
 
 def test_contraction_square_sum_drop():
-    for g in enumerate_families(Parameters(12, 4)):
-        if len(g.counts) < 3:
+    for _, counts, _, _ in enumerate_families(Parameters(12, 4)):
+        if len(counts) < 3:
             continue
-        raw = contracted_counts(g.counts)
-        before = sum(j * j * v for j, v in enumerate(g.counts, 1))
+        raw = contracted_counts(counts)
+        before = sum(j * j * v for j, v in enumerate(counts, 1))
         after = sum(j * j * v for j, v in enumerate(raw, 1))
-        assert before - after == 2 * (len(g.counts) - 2)
+        assert before - after == 2 * (len(counts) - 2)
 
 
 def test_reduce_fully():
@@ -375,7 +377,7 @@ def test_reduce_fully():
     single = fam(8, 3, 4, (7, 1))
     assert reduce_fully(single).chain == (single,)
 
-    for g in enumerate_families(Parameters(18, 4)):
+    for g in candidate_families(Parameters(18, 4)):
         trace = reduce_fully(g)
         n, m = 18, 4
         assert len(trace.terminal.counts) <= 2
@@ -388,7 +390,7 @@ def test_reduce_fully():
 
 def test_terminal_distances_follow_two_level_form():
     # squared distances of a terminal family: (n - c) * c / n + 2 * i2
-    for g in enumerate_families(Parameters(10, 3)):
+    for g in candidate_families(Parameters(10, 3)):
         terminal = reduce_fully(g).terminal
         c = terminal.offset
         n = 10
@@ -401,7 +403,7 @@ def test_contraction_drop_rules():
     printed_mismatch = 0
     for m in (2, 3, 4):
         for n in range(2 * m, 16):
-            for g in enumerate_families(Parameters(n, m)):
+            for g in candidate_families(Parameters(n, m)):
                 if len(g.counts) < 3:
                     continue
                 drop = profile_weight_drop(g)

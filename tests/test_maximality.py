@@ -179,7 +179,7 @@ def test_classify_32_7_is_a_perfect_matching():
     i = [(f.offset, f.counts) for f in r.graph.families].index((-8, (1, 30, 0, 1)))
     assert r.graph.conflicts == ((i, i),)
     s = r.clique_structure
-    assert (s.min_size, s.max_size, s.count) == (15408, 15408, 2**496)
+    assert (s.size, s.count) == (15408, 2**496)
 
 
 def test_universe_cap():
@@ -249,7 +249,7 @@ def test_max_clique_9_3():
 
     structure = maximal_clique_structure(u)
     assert structure is not None
-    assert (structure.min_size, structure.max_size) == (37, 37)
+    assert structure.size == 37
     assert structure.count == 2**36
     assert all(mask & (mask - 1) == 0 for mask in u.conflicts)  # the conflicts form a matching
 
@@ -462,7 +462,7 @@ def test_classify_9_3():
     assert r.added_count == 37 and r.optimal
     assert r.maximal_set_cardinality == 121
     assert r.clique_structure is not None
-    assert (r.clique_structure.min_size, r.clique_structure.max_size) == (37, 37)
+    assert r.clique_structure.size == 37
 
 
 def test_classify_table_rows_complete():
