@@ -17,9 +17,7 @@ from .families import (
     addable_families,
     enumerate_families,
     is_addable,
-    johnson_points,
     max_profile,
-    max_sq_dist,
     profile_sq_dist,
     reduce_fully,
     reduce_step,

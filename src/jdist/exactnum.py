@@ -263,10 +263,6 @@ def _scalar_terms(value: Scalar) -> tuple[tuple[int, Fraction], ...]:
     return ((1, value),) if value else ()
 
 
-# A squared-distance key: ``(radicand, integer)`` pairs, ascending radicand.
-Key = tuple[tuple[int, int], ...]
-
-
 class IntPointSet:
     """A point set as integer vectors over one denominator and radicand basis.
 
@@ -284,12 +280,15 @@ class IntPointSet:
     one zero coordinate.
 
     The squared distance of two points is a sum of products ``x_i*x_j``,
-    and ``sqrt(r_i*r_j) = s*sqrt(f)`` with ``f`` squarefree; the table of
-    those ``(s, f)`` is built once per set.  A squared distance is keyed by
-    its ``(f, D^2 * coefficient)`` pairs with zero coefficients dropped.
-    Distinct squarefree radicands are linearly independent and the scale is
-    shared, so two squared distances of one set are equal exactly when
-    their keys are.  Keys of different sets do not compare.
+    and ``sqrt(r_i*r_j) = s*sqrt(f)`` with ``f`` squarefree; the plan of
+    those ``f``, ascending from 1, is built once per set.  The key of a
+    squared distance is the tuple of its coefficients times ``D^2``, one
+    integer per ``f`` of the plan, zeros kept.  Distinct squarefree
+    radicands are linearly independent and the scale is shared, so two
+    squared distances of one set are equal exactly when their keys are,
+    and coincident points have the all-zero key.  Keys of different sets
+    do not compare; :meth:`value_of` is the one place a key becomes an
+    exact value.
 
     Keys come from the Gram form: on each ``f`` the coefficient is ``D(p,
     q) = B(p, p) + B(q, q) - 2B(p, q)`` for a symmetric bilinear ``B(p, q)
@@ -302,8 +301,8 @@ class IntPointSet:
     ``w`` bytes, and the first of each point, reversed, is one integer.
     Multiplying it by the integer of the fields of a run of points puts
     ``B(a, a) + C - D(a, q)`` in field ``(j + 1)k - 1`` of the product, for
-    the j-th point q of the run, so a raw key is ``top - field`` with ``top
-    = B(a, a) + C``.  Each field of the product pairs the 1 with one
+    the j-th point q of the run, so a key is ``top - field`` with ``top =
+    B(a, a) + C``.  Each field of the product pairs the 1 with one
     component, at most one ``C - B(q, q)`` with a component of ``L`` and at
     most ``k - 1`` components of ``L`` with ``2R``, so it lies in ``[0, (k
     - 1) * max L * max 2R + (max L + 1) * E + max 2R]`` with ``E`` the
@@ -315,7 +314,7 @@ class IntPointSet:
     ``top`` from those alone.
     """
 
-    __slots__ = ("radicands", "denominator", "_size", "_plan", "_forms", "_keys")
+    __slots__ = ("radicands", "denominator", "_size", "_plan", "_forms")
 
     def __init__(self, points: Iterable[Sequence[Scalar]]):
         # a tuple of each point holds every coordinate object for the whole
@@ -358,42 +357,30 @@ class IntPointSet:
         rows = [[*map(id, p), None] for p in points]
         layouts = [_layout(products, len(basis)) for _, products in self._plan]
         self._forms = tuple(_gram_forms(layout, components, rows, dim) for layout in layouts)
-        self._keys: dict[tuple[int, ...], Key] = {}  # raw -> key, for row_keys
 
-    def row_keys(self, a: int, start: int, stop: int) -> list[Key]:
+    def row_keys(self, a: int, start: int, stop: int) -> list[tuple[int, ...]]:
         """Keys of point ``a`` against points ``start, ..., stop - 1``, for
         ``0 <= start <= stop <= size``."""
-        items, raws = _gram_row(self._forms, a, start, stop)
-        keys = self._keys
-        for raw in set(raws.values()).difference(keys):  # each value is keyed once per set
-            keys[raw] = self._key(raw)
-        keyed = {item: keys[raw] for item, raw in raws.items()}
-        return list(map(keyed.__getitem__, items))
+        items, keys = _gram_row(self._forms, a, start, stop)
+        return list(map(keys.__getitem__, items))
 
-    def distinct_keys(self) -> set[Key]:
-        """The set of keys over all pairs ``i < j``; ``()`` when two points
-        coincide.  Each row's distinct fields are collected in one set, and
-        only distinct raw values are turned into keys."""
+    def distinct_keys(self) -> set[tuple[int, ...]]:
+        """The set of keys over all pairs ``i < j``, the all-zero key when
+        two points coincide; each row's distinct fields are collected in
+        one set."""
         size = self._size
-        raws = set()
+        keys = set()
         for a in range(size - 1):
-            raws.update(_gram_row(self._forms, a, a + 1, size)[1].values())
-        return {self._key(raw) for raw in raws}
+            keys.update(_gram_row(self._forms, a, a + 1, size)[1].values())
+        return keys
 
-    def key_of(self, value: Scalar) -> Key:
-        """The key a squared distance equal to ``value`` has in this set."""
+    def value_of(self, key: tuple[int, ...]) -> Fraction | QuadNum:
+        """The exact squared distance of a key: a Fraction when only its
+        ``f = 1`` entry, the first, is nonzero."""
         scale = self.denominator**2
-        return tuple((rad, coeff * scale) for rad, coeff in _scalar_terms(value))
-
-    def value_of(self, key: Key) -> Fraction | QuadNum:
-        """The exact squared distance of a key: a Fraction when rational."""
-        scale = self.denominator**2
-        if all(rad == 1 for rad, _ in key):
-            return Fraction(key[0][1], scale) if key else Fraction(0)
-        return QuadNum._normal((rad, Fraction(v, scale)) for rad, v in key)
-
-    def _key(self, raw: tuple[int, ...]) -> Key:
-        return tuple((f, v) for (f, _), v in zip(self._plan, raw) if v)
+        if not any(key[1:]):
+            return Fraction(key[0], scale)
+        return QuadNum._normal((f, Fraction(v, scale)) for (f, _), v in zip(self._plan, key))
 
 
 def _layout(products: tuple[tuple[int, int, int], ...], basis: int):
@@ -495,7 +482,7 @@ def _gram_row(forms, a: int, start: int, stop: int) -> tuple[Sequence, dict]:
     """Point ``a`` against the points ``q = start, ..., stop - 1``, from one
     product per f: one item per q, its field ``top - D(a, q)`` with ``top =
     B(a, a) + C`` for one f and the tuple of those fields for several, and
-    a dict from each distinct item to its raw key, ``D(a, q)`` per f."""
+    a dict from each distinct item to its key, ``D(a, q)`` per f."""
     tops, fields = [], []
     for f_tops, lefts, rights, count, width in forms:
         step = count * width  # bytes of one point's fields

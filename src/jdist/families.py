@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 from .exactnum import squarefree_decompose
 
 Profile = tuple[int, ...]
-Point = tuple[Fraction, ...]
 
 
 class NotReducible(ValueError):
@@ -83,11 +82,6 @@ class CandidateFamily:
             offset += params.n
         return CandidateFamily(params, offset, tuple(k))
 
-    @property
-    def levels(self) -> tuple[Fraction, ...]:
-        n = self.params.n
-        return tuple(Fraction(v, n) for v in self.scaled_levels())
-
     def scaled_levels(self) -> tuple[int, ...]:
         """Level values times n; always integers."""
         return scaled_levels(self.params.n, self.offset, len(self.counts))
@@ -100,18 +94,9 @@ class CandidateFamily:
         m = self.params.m
         return self.offset == 0 and self.counts == (m, self.params.n - m)
 
-    def points(self) -> Iterator[Point]:
-        """All orbit points, lexicographically with larger values first."""
-        yield from _arrangements(self.levels, self.counts)
-
     def scaled_points(self) -> Iterator[tuple[int, ...]]:
+        """All orbit points times n, lexicographically with larger values first."""
         yield from _arrangements(self.scaled_levels(), self.counts)
-
-    def __str__(self) -> str:
-        body = ", ".join(
-            f"({v})^{c}" if c != 1 else f"({v})" for v, c in zip(self.levels, self.counts) if c
-        )
-        return f"({body})"
 
 
 def check_family(n: int, m: int, offset: int, counts: tuple[int, ...]) -> None:
@@ -180,18 +165,9 @@ def _arrangements(values: Sequence, counts: Sequence[int]) -> Iterator[tuple]:
     yield from rec(0)
 
 
-def johnson_points(params: Parameters) -> Iterator[Point]:
-    """Indicator vectors of all m-subsets, in lexicographic support order."""
-    one, zero = Fraction(1), Fraction(0)
-    for support in itertools.combinations(range(params.n), params.m):
-        point = [zero] * params.n
-        for i in support:
-            point[i] = one
-        yield tuple(point)
-
-
 def scaled_johnson_points(params: Parameters) -> Iterator[tuple[int, ...]]:
-    """Johnson points scaled by n, matching ``scaled_points`` of families."""
+    """Indicator vectors of all m-subsets times n, in lexicographic support
+    order, matching ``scaled_points`` of families."""
     n = params.n
     for support in itertools.combinations(range(n), params.m):
         point = [0] * n
@@ -339,14 +315,9 @@ def max_profile(fam: CandidateFamily) -> Profile:
 
 
 def scaled_peak(n: int, m: int, offset: int, counts: Sequence[int]) -> int:
-    """n times the peak squared distance, at the :func:`max_profile` weight."""
+    """n times the peak squared distance between the Johnson points and the
+    family, at the :func:`max_profile` weight."""
     return scaled_base(n, m, offset, counts) + 2 * _greedy_weight(counts, m) * n
-
-
-def max_sq_dist(fam: CandidateFamily) -> Fraction:
-    """Peak squared distance between the Johnson points and the family."""
-    n = fam.params.n
-    return Fraction(scaled_peak(n, fam.params.m, fam.offset, fam.counts), n)
 
 
 def peak_is_addable(n: int, m: int, scaled: int) -> bool:

@@ -358,9 +358,8 @@ def verify_point_set(points: Sequence[Sequence], m: int, johnson: bool = False):
     2m}, the distance set of the Johnson representation.
     """
     exact = IntPointSet(points)
-    found = exact.distinct_keys()
-    found.discard(())  # coincident points
-    values = tuple(sorted(exact.value_of(k) for k in found))  # exact ordering
+    # coincident points have the value 0; the rest sort by exact ordering
+    values = tuple(sorted(v for v in map(exact.value_of, exact.distinct_keys()) if v))
 
     ok = len(values) <= m
     if johnson:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,6 @@ from jdist.families import (
     Parameters,
     enumerate_families,
     is_addable,
-    max_sq_dist,
     scaled_peak,
 )
 from jdist.maximality import DEFAULT_CAP, classify
@@ -90,7 +90,8 @@ def test_families_listing_peak_is_fraction_text():
                 (f.offset, f.counts) for f in fams
             ]
             for f, e in zip(fams, listed):
-                assert e["peak_sq_dist"] == str(max_sq_dist(f)), (n, m, f.counts)
+                peak = Fraction(scaled_peak(n, m, f.offset, f.counts), n)
+                assert e["peak_sq_dist"] == str(peak), (n, m, f.counts)
                 assert e["size"] == f.size, (n, m, f.counts)
                 assert e["addable"] is is_addable(f), (n, m, f.counts)
 

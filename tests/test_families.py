@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from familyref import candidate_families
+from familyref import candidate_families, fraction_points
 from jdist import families
 from jdist.cli import _family_record, _Ratios
 from jdist.families import (
@@ -22,9 +22,7 @@ from jdist.families import (
     family_counts,
     is_addable,
     iter_profiles,
-    johnson_points,
     max_profile,
-    max_sq_dist,
     orbit_size,
     peak_is_addable,
     profile_sq_dist,
@@ -33,6 +31,7 @@ from jdist.families import (
     profile_weight_drop_printed,
     reduce_fully,
     reduce_step,
+    scaled_johnson_points,
     scaled_peak,
 )
 
@@ -50,23 +49,25 @@ def test_parameters_validation():
 
 
 def test_johnson_points_counts_and_order():
-    pts = list(johnson_points(Parameters(4, 2)))
+    pts = list(scaled_johnson_points(Parameters(4, 2)))
     assert len(pts) == 6
-    assert pts[0] == (1, 1, 0, 0)
-    assert len(list(johnson_points(Parameters(9, 2)))) == 36
-    assert len(list(johnson_points(Parameters(9, 3)))) == 84
+    assert pts[0] == (4, 4, 0, 0)
+    assert len(list(scaled_johnson_points(Parameters(9, 2)))) == 36
+    assert len(list(scaled_johnson_points(Parameters(9, 3)))) == 84
 
 
 def test_johnson_points_on_hyperplane_with_pair_distances():
+    # points times n = 7: coordinates 0 and 7, hyperplane sum 3 * 7, and
+    # squared distances 7^2 times 2(m - overlap)
     params = Parameters(7, 3)
-    pts = list(johnson_points(params))
+    pts = list(scaled_johnson_points(params))
     assert len(pts) == math.comb(7, 3)
-    assert all(sum(p) == 3 for p in pts)
+    assert all(sum(p) == 3 * 7 for p in pts)
     for i in range(0, len(pts), 5):
         for j in range(i + 1, len(pts), 7):
-            overlap = sum(1 for a, b in zip(pts[i], pts[j]) if a == b == 1)
+            overlap = sum(1 for a, b in zip(pts[i], pts[j]) if a == b == 7)
             d = sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))
-            assert d == 2 * (3 - overlap)
+            assert d == 7 * 7 * 2 * (3 - overlap)
 
 
 # (n, m, offset, counts, the ValueError message pattern)
@@ -84,7 +85,7 @@ BAD_FAMILIES = [
 
 def test_candidate_family_validation():
     f = fam(9, 2, 6, (8, 1))
-    assert f.levels == (F(1, 3), F(-2, 3))
+    assert f.scaled_levels() == (3, -6)  # 1/3 and -2/3
     for n, m, offset, counts, message in BAD_FAMILIES:
         with pytest.raises(ValueError, match=message):
             fam(n, m, offset, counts)
@@ -246,9 +247,9 @@ def test_max_profile_examples():
 
 
 def test_max_sq_dist_examples():
-    assert max_sq_dist(CandidateFamily(Parameters(9, 2), 0, (2, 7))) == 4  # 2m at the pattern
-    assert max_sq_dist(fam(9, 2, 3, (5, 4))) == 6
-    assert max_sq_dist(fam(9, 4, 3, (8, 0, 1))) == 8
+    assert scaled_peak(9, 2, 0, (2, 7)) == 4 * 9  # 2m at the pattern
+    assert scaled_peak(9, 2, 3, (5, 4)) == 6 * 9
+    assert scaled_peak(9, 4, 3, (8, 0, 1)) == 8 * 9
 
 
 def test_is_addable_examples():
@@ -271,7 +272,8 @@ def test_json_levels_are_fraction_text():
         ratios = _Ratios(n)
         for f in candidate_families(Parameters(n, m)):
             record = _family_record(m, f.offset, f.counts, f.size, ratios)
-            assert record["levels"] == [str(v) for v in f.levels], (n, m, f.counts)
+            levels = [str(F(v, n)) for v in f.scaled_levels()]
+            assert record["levels"] == levels, (n, m, f.counts)
 
 
 def test_is_addable_is_the_scaled_peak_rule():
@@ -284,7 +286,7 @@ def test_is_addable_is_the_scaled_peak_rule():
         for f in itertools.chain(candidate_families(params), [pattern] if pattern else []):
             peak = profile_sq_dist(f, max_profile(f))
             scaled = scaled_peak(n, m, f.offset, f.counts)
-            assert scaled == peak * n and max_sq_dist(f) == peak
+            assert scaled == peak * n
             rule = peak.denominator == 1 and peak % 2 == 0 and peak <= 2 * m
             assert peak_is_addable(n, m, scaled) == rule, (n, m, f.counts)
             assert is_addable(f) == (f is not pattern and rule), (n, m, f.counts)
@@ -310,9 +312,10 @@ def test_addable_families_obey_mean_distance_bound():
             for f in candidate_families(Parameters(n, m)):
                 if not is_addable(f):
                     continue
-                spread = sum(k * (v - F(m, n)) ** 2 for v, k in zip(f.levels, f.counts))
+                levels = [F(v, n) for v in f.scaled_levels()]
+                spread = sum(k * (v - F(m, n)) ** 2 for v, k in zip(levels, f.counts))
                 mean = spread - F(m * m, n) + m
-                assert mean <= max_sq_dist(f) <= 2 * m
+                assert mean <= F(scaled_peak(n, m, f.offset, f.counts), n) <= 2 * m
                 assert n * spread <= n * m + m * m, (n, m, f.counts)
 
 
@@ -372,7 +375,7 @@ def test_reduce_fully():
     assert [(g.offset, g.counts) for g in trace.chain] == [(-3, (1, 7, 1)), (6, (9,))]
     assert trace.terminal_offset == 6
     # the terminal single level realizes the one-ninth pattern
-    assert trace.terminal.levels == (F(1, 3),)
+    assert trace.terminal.scaled_levels() == (3,)  # 1/3
 
     single = fam(8, 3, 4, (7, 1))
     assert reduce_fully(single).chain == (single,)
@@ -384,7 +387,7 @@ def test_reduce_fully():
         assert -m < trace.terminal_offset <= n - m
         if len(trace.chain) > 1:
             assert len(trace.terminal.counts) < len(g.counts)
-            values = [max_sq_dist(step) for step in trace.chain]
+            values = [scaled_peak(n, m, step.offset, step.counts) for step in trace.chain]
             assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -426,7 +429,7 @@ def test_addable_invariant_under_canonicalization():
 
 def test_points_match_levels():
     f = fam(9, 2, 6, (8, 1))
-    pts = list(f.points())
+    pts = fraction_points(f.scaled_points(), 9)
     assert len(pts) == 9
     assert pts[0] == (F(1, 3),) * 8 + (F(-2, 3),)
     assert all(sum(p) == 2 for p in pts)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from familyref import fraction_points, johnson_points
 from jdist import maximality
 from jdist.cli import _classify_record
 from jdist.exactnum import QuadNum
@@ -16,7 +17,6 @@ from jdist.families import (
     CandidateFamily,
     Parameters,
     addable_families,
-    johnson_points,
 )
 from jdist.maximality import (
     CandidateUniverse,
@@ -525,14 +525,16 @@ def test_verify_point_set_examples():
     assert ok and spectrum == (2, 4)
 
     full45 = list(johnson_points(Parameters(9, 2)))
-    full45.extend(CandidateFamily(Parameters(9, 2), 6, (8, 1)).points())
+    extra = CandidateFamily(Parameters(9, 2), 6, (8, 1))
+    full45.extend(fraction_points(extra.scaled_points(), 9))
     assert len(full45) == 45
     ok, spectrum = verify_point_set(full45, 2, johnson=True)
     assert ok and spectrum == (2, 4)
 
     bad = list(johnson_points(Parameters(9, 3)))
-    bad.extend(CandidateFamily(Parameters(9, 3), 6, (9,)).points())
-    bad.extend(CandidateFamily(Parameters(9, 3), -3, (1, 7, 1)).points())
+    for offset, counts in ((6, (9,)), (-3, (1, 7, 1))):
+        extra = CandidateFamily(Parameters(9, 3), offset, counts)
+        bad.extend(fraction_points(extra.scaled_points(), 9))
     assert len(bad) == 84 + 1 + 72
     ok, spectrum = verify_point_set(bad, 3, johnson=True)
     assert not ok
@@ -565,7 +567,7 @@ def test_reported_sets_recheck():
         r = classify(Parameters(n, m))
         pts = list(johnson_points(Parameters(n, m)))
         for f in r.graph.families:
-            pts.extend(f.points())
+            pts.extend(fraction_points(f.scaled_points(), n))
         ok, _ = verify_point_set(pts, m, johnson=True)
         assert ok
         assert len(pts) == r.maximal_set_cardinality

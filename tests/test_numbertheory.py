@@ -59,19 +59,19 @@ def test_is_extendable_examples():
 def test_extension_family_printed_orbits():
     inst, cond = extension_family(9, 2, 1)
     assert (inst.offset, inst.counts) == (6, (8, 1)) and cond
-    assert inst.levels == (F(1, 3), F(-2, 3))
+    assert inst.scaled_levels() == (3, -6)  # 1/3, -2/3
 
     inst, cond = extension_family(9, 3, 1)
     assert (inst.offset, inst.counts) == (6, (9,)) and cond
-    assert inst.levels == (F(1, 3),)
+    assert inst.scaled_levels() == (3,)  # 1/3
 
     inst, cond = extension_family(9, 4, 2)
     assert (inst.offset, inst.counts) == (3, (7, 2)) and cond
-    assert inst.levels == (F(2, 3), F(-1, 3))
+    assert inst.scaled_levels() == (6, -3)  # 2/3, -1/3
 
     inst, cond = extension_family(8, 3, 1)
     assert (inst.offset, inst.counts) == (4, (7, 1)) and cond
-    assert inst.levels == (F(1, 2), F(-1, 2))
+    assert inst.scaled_levels() == (4, -4)  # 1/2, -1/2
 
 
 def test_extension_family_boundary_cases():

@@ -56,6 +56,19 @@ def quad_sq_dist(p, q):
     return add(*(mul(d, d) for d in diffs))
 
 
+def assert_keys_track_values(exact, keyed):
+    """``keyed`` holds ``(key, value)`` pairs of one set ``exact``, each
+    value from ring arithmetic: ``value_of`` gives the value back, a
+    Fraction exactly when it is rational, the all-zero key is the key of
+    0, and two keys are equal exactly when their values are."""
+    for key, value in keyed:
+        got = exact.value_of(key)
+        assert got == value and isinstance(got, F) == value.is_rational()
+        assert any(key) == bool(value)
+    values = dict(keyed)  # key -> value; equal keys have one value_of
+    assert len(set(values.values())) == len(values)
+
+
 def test_keys_match_quadnum_arithmetic():
     rng = random.Random(2012)
     for _ in range(150):
@@ -64,17 +77,12 @@ def test_keys_match_quadnum_arithmetic():
         # repeat a point now and then so that equal distances occur
         points.append(rng.choice(points))
         exact = IntPointSet(points)
-        pairs = list(itertools.combinations_with_replacement(range(len(points)), 2))
-        keys = {}
-        values = {}
+        pairs = itertools.combinations_with_replacement(range(len(points)), 2)
+        keyed = []
         for i, j in pairs:
             (key,) = exact.row_keys(i, j, j + 1)
-            value = quad_sq_dist(points[i], points[j])
-            assert exact.value_of(key) == value
-            assert exact.key_of(value) == key
-            keys[i, j], values[i, j] = key, value
-        for a, b in itertools.combinations(pairs, 2):
-            assert (keys[a] == keys[b]) == (values[a] == values[b])
+            keyed.append((key, quad_sq_dist(points[i], points[j])))
+        assert_keys_track_values(exact, keyed)
 
 
 def assert_rows_match(points, rng):
@@ -82,18 +90,20 @@ def assert_rows_match(points, rng):
     ``IntPointSet(points)`` against ring arithmetic; returns the set."""
     exact = IntPointSet(points)
     count = len(points)
+    rows = []
     for a in range(count):
         keys = exact.row_keys(a, 0, count)
         assert len(keys) == count
-        for b, key in enumerate(keys):
-            assert exact.value_of(key) == quad_sq_dist(points[a], points[b])
+        rows.append(keys)
         start = rng.randrange(count + 1)
         stop = rng.randrange(start, count + 1)
         assert exact.row_keys(a, start, stop) == keys[start:stop]
+    pairs = itertools.product(range(count), repeat=2)
+    keyed = [(rows[a][b], quad_sq_dist(points[a], points[b])) for a, b in pairs]
+    assert_keys_track_values(exact, keyed)
     distinct = exact.distinct_keys()
-    values = {quad_sq_dist(p, q) for p, q in itertools.combinations(points, 2)}
-    assert distinct == {exact.key_of(v) for v in values}
-    assert (() in distinct) == (len(set(points)) < count)
+    assert distinct == {rows[a][b] for a, b in itertools.combinations(range(count), 2)}
+    assert any(not any(key) for key in distinct) == (len(set(points)) < count)
     return exact
 
 
@@ -122,7 +132,7 @@ def test_packed_keys_with_coefficients_above_64_bits():
         points = [tuple(scalar() for _ in range(dim)) for _ in range(rng.randrange(2, 5))]
         points.append(rng.choice(points))
         exact = assert_rows_match(points, rng)
-        assert max(abs(v) for key in exact.distinct_keys() for _, v in key) > 2**64
+        assert max(abs(v) for key in exact.distinct_keys() for v in key) > 2**64
 
 
 def test_packed_keys_over_three_or_more_radicands():
@@ -276,6 +286,44 @@ def test_a_float_equal_to_a_coordinate_seen_is_refused(call):
         call([(1, 0), (1.0, 0)])
 
 
+def brute_congruent(set_a, set_b):
+    """Whether some bijection keeps every squared distance, trying them all
+    on ring-arithmetic distances."""
+    if len(set_a) != len(set_b):
+        return False
+    da = [[quad_sq_dist(p, q) for q in set_a] for p in set_a]
+    db = [[quad_sq_dist(p, q) for q in set_b] for p in set_b]
+    pairs = list(itertools.combinations(range(len(set_a)), 2))
+    return any(
+        all(da[i][j] == db[image[i]][image[j]] for i, j in pairs)
+        for image in itertools.permutations(range(len(set_b)))
+    )
+
+
+def test_congruent_over_sqrt2_and_sqrt3():
+    # coordinates that mix sqrt(2) and sqrt(3) put the cross terms on
+    # sqrt(6): the keys have one entry for each f = 1, 2, 3 and 6
+    rng = random.Random(2361)
+
+    def coordinate():
+        return QuadNum({rad: rand_coefficient(rng) for rad in (1, 2, 3)})
+
+    for _ in range(4):
+        points = [tuple(coordinate() for _ in range(3)) for _ in range(6)]
+        assert [f for f, _ in IntPointSet(points)._plan] == [1, 2, 3, 6]
+        # shuffled points, permuted coordinates and a constant vector added
+        axes, shift = rng.sample(range(3), 3), [coordinate() for _ in range(3)]
+        moved = [tuple(add(p[i], c) for i, c in zip(axes, shift)) for p in rng.sample(points, 6)]
+        # one coordinate of one point negated
+        flipped = list(moved)
+        pos, axis = rng.randrange(6), rng.randrange(3)
+        flipped[pos] = tuple(neg(c) if i == axis else c for i, c in enumerate(moved[pos]))
+        for other, expected in ((moved, True), (flipped, False)):
+            assert brute_congruent(points, other) is expected
+            assert congruent(points, other) is expected
+            assert congruent(other, points) is expected
+
+
 def test_points_that_make_new_coordinates_on_each_iteration():
     # iterating a range or an array point makes new int objects each time,
     # so the id of one may be freed and reused by another value
@@ -299,19 +347,22 @@ def test_points_that_make_new_coordinates_on_each_iteration():
 
 
 def test_packed_keys_of_degenerate_sets():
+    # a key has one entry per f of the plan, f = 1 first, zeros kept
     assert IntPointSet([]).distinct_keys() == set()
-    single = IntPointSet([(F(1, 2), QuadNum({2: 1}))])
+    single = IntPointSet([(F(1, 2), QuadNum({2: 1}))])  # f = 1, 2
     assert single.distinct_keys() == set()
-    assert (single.row_keys(0, 0, 1), single.row_keys(0, 1, 1)) == ([()], [])
+    assert (single.row_keys(0, 0, 1), single.row_keys(0, 1, 1)) == ([(0, 0)], [])
     # points of dimension 0 all coincide
     origin = IntPointSet([(), (), ()])
-    assert origin.distinct_keys() == {()}
-    assert origin.row_keys(1, 0, 3) == [(), (), ()]
-    # a coincident pair is the key (), next to other keys
+    assert origin.distinct_keys() == {(0,)}
+    assert origin.row_keys(1, 0, 3) == [(0,), (0,), (0,)]
+    # a coincident pair is the zero key, next to the key of 7/4 times the
+    # denominator 2 squared on f = 1, and 0 on f = 3
     point = (1, QuadNum({3: F(1, 2)}))
     exact = IntPointSet([point, (0, 0), point])
-    assert exact.row_keys(0, 1, 3) == [exact.key_of(F(7, 4)), ()]
-    assert exact.distinct_keys() == {(), exact.key_of(F(7, 4))}
+    assert exact.row_keys(0, 1, 3) == [(7, 0), (0, 0)]
+    assert exact.distinct_keys() == {(0, 0), (7, 0)}
+    assert exact.value_of((7, 0)) == F(7, 4) and exact.value_of((0, 0)) == 0
 
 
 def test_parse_format_round_trip():

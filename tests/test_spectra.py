@@ -9,8 +9,8 @@ from familyref import candidate_families
 from jdist.families import (
     CandidateFamily,
     Parameters,
-    max_sq_dist,
     scaled_johnson_points,
+    scaled_peak,
 )
 from jdist.spectra import ParameterMismatch, cross_family_spectrum, johnson_family_spectrum
 
@@ -85,7 +85,7 @@ def test_symmetry():
 def test_peak_matches_max_sq_dist():
     for n, m in ((8, 3), (9, 4), (12, 5)):
         for f in itertools.islice(candidate_families(Parameters(n, m)), 40):
-            assert johnson_family_spectrum(f)[-1] == max_sq_dist(f)
+            assert johnson_family_spectrum(f)[-1] == F(scaled_peak(n, m, f.offset, f.counts), n)
 
 
 def test_profile_spectrum_against_brute_force():

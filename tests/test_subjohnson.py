@@ -10,8 +10,9 @@ import pytest
 
 import jdist.exactnum
 import jdist.subjohnson
+from familyref import johnson_points
 from jdist.exactnum import IntPointSet, QuadNum, squarefree_decompose
-from jdist.families import Parameters, johnson_points
+from jdist.families import Parameters
 from jdist.subjohnson import (
     TWO_DISTANCE,
     SubFamily,
@@ -264,13 +265,13 @@ def test_combination_search_agrees_with_every_pair(n):
     report = combination_search(n)
     families = report.families
     exact = IntPointSet([p for f in families for p in f.points()])
-    allowed = {exact.key_of(d) for d in TWO_DISTANCE}
     starts = list(itertools.accumulate((f.size for f in families), initial=0))
 
     def two_distance(i, j):
         return all(
-            set(exact.row_keys(a, max(a + 1, starts[j]), starts[j + 1])) <= allowed
+            exact.value_of(key) in TWO_DISTANCE
             for a in range(starts[i], starts[i + 1])
+            for key in set(exact.row_keys(a, max(a + 1, starts[j]), starts[j + 1]))
         )
 
     count = len(families)
@@ -319,7 +320,7 @@ def test_combination_unions_verify():
 
 
 def test_congruent_examples():
-    ref = [tuple(p) for p in johnson_points(Parameters(7, 2))]
+    ref = johnson_points(Parameters(7, 2))
     assert congruent(union_points(7, ["S3+"]), ref)
     assert congruent(union_points(7, ["S3-"]), ref)
     assert congruent(union_points(9, ["S1+"]), union_points(9, ["S1-"]))
@@ -348,7 +349,7 @@ def test_congruent_n5_bridge():
 
 def test_congruent_depth_is_not_bounded_by_the_recursion_limit():
     # one Python frame per matched point would overflow 200 frames of headroom
-    points = list(itertools.islice(johnson_points(Parameters(30, 2)), 400))
+    points = johnson_points(Parameters(30, 2))[:400]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 200)
     try:
