@@ -8,13 +8,16 @@ places where a printed reference total disagrees with recomputation
 
 The library returns plain data; this module alone shapes it into
 reports, with one builder per JSON record kind.  Each handler returns one
-:class:`Report`; :func:`run` renders it as text, JSON or CSV, and builds
-the JSON body only for JSON.
+:class:`Report`; :func:`run` writes it as text, JSON or CSV while it is
+produced, so a listing holds a bounded batch of its output at a time, and
+builds the JSON body only for JSON.
 
 Exit codes: 0 success, 1 when ``tables`` or ``sub2`` has a FAIL reference
-row, 2 invalid arguments or an ``--output`` path that cannot be written, 3
-when a clique search hit its node budget without proving optimality.  The
-report is written in every case but 2.
+row, 2 invalid arguments or a report that cannot be written (an
+``--output`` path that cannot be opened, a closed stdout pipe), 3 when a
+clique search hit its node budget without proving optimality.  Every
+refusal of the arguments comes before ``--output`` is opened; the report is
+written in every case but 2.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
+import os
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import subjohnson
 from .exactnum import format_ratio, parse_quad
@@ -88,8 +92,9 @@ SUB2_EXPECTED = {
 class Report:
     """One subcommand's report, shaped for each output format.
 
-    ``rows`` and ``lines`` may be generators: :func:`run` consumes only the
-    one its format writes, once, and calls ``results`` only for JSON.
+    ``rows``, ``lines`` and the lists in the ``results`` body may be
+    generators: :func:`run` consumes only the one its format writes, once,
+    writing as it goes, and calls ``results`` only for JSON.
     """
 
     results: Callable[[], dict]  # builds the JSON body
@@ -105,9 +110,10 @@ def _flag(value: bool) -> str:
 # -- JSON: the bytes of json.dumps(value, indent=2) --------------------------
 #
 # The stdlib C encoder serves only indent=None; with an indent every call
-# runs the pure-Python encoder.  Reports hold str-keyed dicts, lists and the
-# scalars below, matched by exact type, so a float, a tuple, an int subclass
-# such as an IntEnum member, or a key that is not a str raises TypeError.
+# runs the pure-Python encoder.  Reports hold str-keyed dicts, lists (or
+# generators in their place) and the scalars below, matched by exact type,
+# so a float, a tuple, an int subclass such as an IntEnum member, or a key
+# that is not a str raises TypeError.
 
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
@@ -116,14 +122,17 @@ _JSON_SCALARS = {
     type(None): lambda _: "null",
 }
 
+_JSON_BATCH = 4096  # pieces joined into one write
 
-def _write_json(value, newline: str, chunks: list) -> None:
-    """Append the dict or list ``value`` to ``chunks``; ``newline`` breaks a
+
+def _write_json(value, newline: str, chunks: list, write) -> None:
+    """Append the dict, list or generator ``value`` to ``chunks``, passing a
+    full batch of them to ``write`` after a list item; ``newline`` breaks a
     line and indents it to the depth of ``value``'s own line."""
     kind = type(value)
-    if kind is not dict and kind is not list:
+    if kind is not dict and kind is not list and kind is not GeneratorType:
         raise TypeError(f"a report cannot hold {kind.__name__} {value!r}")
-    if not value:
+    if not value:  # a generator is found empty only below
         chunks.append("{}" if kind is dict else "[]")
         return
     inner = newline + "  "
@@ -136,7 +145,7 @@ def _write_json(value, newline: str, chunks: list) -> None:
             scalar = scalars.get(type(item))
             if scalar is None:
                 chunks.append(head)
-                _write_json(item, inner, chunks)
+                _write_json(item, inner, chunks, write)
             else:
                 chunks.append(head + scalar(item))
             sep = comma
@@ -147,21 +156,26 @@ def _write_json(value, newline: str, chunks: list) -> None:
             scalar = scalars.get(type(item))
             if scalar is None:
                 chunks.append(sep)
-                _write_json(item, inner, chunks)
+                _write_json(item, inner, chunks, write)
             else:
                 chunks.append(sep + scalar(item))
             sep = comma
-        chunks.append(newline + "]")
+            if len(chunks) >= _JSON_BATCH:
+                write("".join(chunks))
+                chunks.clear()
+        chunks.append(newline + "]" if sep is comma else "[]")  # "[]": no item came
 
 
-def encode_json(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for report values."""
+def write_json(value, write) -> None:
+    """Pass ``json.dumps(value, indent=2)``, byte for byte, to ``write`` in
+    pieces, for report values."""
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
-        return scalar(value)
+        write(scalar(value))
+        return
     chunks: list[str] = []
-    _write_json(value, "\n", chunks)
-    return "".join(chunks)
+    _write_json(value, "\n", chunks, write)
+    write("".join(chunks))
 
 
 def _records(columns, records) -> list:
@@ -315,17 +329,18 @@ def _cmd_families(config: argparse.Namespace) -> Report:
     params = Parameters(config.n, config.m)
     n, m = config.n, config.m
     if config.addable_only:
+        addable = addable_families(params)
+        count = len(addable)
         families = (
-            (f.offset, f.counts, f.size, scaled_peak(n, m, f.offset, f.counts))
-            for f in addable_families(params)
+            (f.offset, f.counts, f.size, scaled_peak(n, m, f.offset, f.counts)) for f in addable
         )
     else:
-        over = next((c for c in family_counts(params) if c > config.cap), None)
-        if over is not None:
-            raise ValueError(
-                f"at least {over} families exceed the cap {config.cap}; "
-                "raise --cap or pass --addable"
-            )
+        for count in family_counts(params):  # the last count is the listing's
+            if count > config.cap:
+                raise ValueError(
+                    f"at least {count} families exceed the cap {config.cap}; "
+                    "raise --cap or pass --addable"
+                )
         # the balanced counts have the largest orbit and, bar J(4, 2)'s Johnson
         # pattern, are listed: refuse just what str() would (8**d < 10**d first)
         q, r = divmod(n, m)
@@ -337,21 +352,21 @@ def _cmd_families(config: argparse.Namespace) -> Report:
             )
         families = enumerate_families(params)
     ratios = _Ratios(n)  # levels and peaks share the denominator n
-    # one (offset, counts, size, addable, peak text) per family, in every format
-    listed = [
+    # one (offset, counts, size, addable, peak text) per family; one format reads it
+    listed = (
         (offset, counts, size, peak_is_addable(n, m, peak), ratios[peak])
         for offset, counts, size, peak in families
-    ]
+    )
 
     def results() -> dict:
-        entries = [
+        entries = (
             _family_record(m, offset, counts, size, ratios, addable=addable, peak_sq_dist=peak)
             for offset, counts, size, addable, peak in listed
-        ]
-        return {"n": n, "m": m, "count": len(listed), "families": entries}
+        )
+        return {"n": n, "m": m, "count": count, "families": entries}
 
     lines = itertools.chain(
-        [f"families for n={n}, m={m}: {len(listed)}"],
+        [f"families for n={n}, m={m}: {count}"],
         (
             f"  k0={offset:>4}  k={counts!s:<20} size={size:>8} "
             f"addable={_flag(addable):<5} peak={peak}"
@@ -589,36 +604,44 @@ _HANDLERS = {
 }
 
 
-def run(config: argparse.Namespace, stream=None) -> int:
-    """Execute one subcommand and write its report; returns the exit code."""
-    report = _HANDLERS[config.subcommand](config)
-    if report is None:
-        return 2
-
+def _write_report(config: argparse.Namespace, report: Report, out) -> None:
     if config.fmt == "json":
         envelope = {
             "command": config.subcommand,
             "arguments": _public_arguments(config),
             "results": report.results(),
         }
-        payload = encode_json(envelope) + "\n"
+        write_json(envelope, out.write)
+        out.write("\n")
     elif config.fmt == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows(report.rows)
-        payload = buffer.getvalue()
+        csv.writer(out).writerows(report.rows)
     else:
-        payload = "\n".join(report.lines) + "\n"
+        for line in report.lines:
+            out.write(f"{line}\n")
 
-    if config.output:
-        try:
-            with open(config.output, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
-    else:
-        out = stream if stream is not None else sys.stdout
-        out.write(payload)
+
+def run(config: argparse.Namespace, stream=None) -> int:
+    """Execute one subcommand and write its report as it is produced;
+    returns the exit code."""
+    report = _HANDLERS[config.subcommand](config)
+    if report is None:
+        return 2
+
+    out = stream if stream is not None else sys.stdout
+    try:
+        if config.output:
+            with open(config.output, "w", encoding="utf-8") as out:
+                _write_report(config, report, out)
+        else:
+            _write_report(config, report, out)
+            if out is sys.stdout:
+                out.flush()  # so that a closed pipe fails here, not at exit
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
+            # the reader is gone: keep the interpreter's last flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return report.code
 
 

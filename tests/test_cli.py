@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -382,6 +383,72 @@ def test_output_path_that_cannot_be_written(where, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write report: ")
     assert captured.err.count("\n") == 1
+
+
+class Discard:
+    """A stream that drops what it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_listing_streams_in_constant_memory(fmt):
+    # the report is written as it is produced, so a listing of 11,479
+    # families peaks about as high as one of 2,924 (built whole first, the
+    # JSON of families 40 4 peaked at 26 MB); what grows from n = 25 to 40
+    # is the memo of formatted numerators, 340 to 571 distinct peaks
+    peaks = {}
+    for n in (25, 40):
+        config = config_from_args(["families", str(n), "4", "--format", fmt])
+        tracemalloc.start()
+        try:
+            assert run(config, stream=Discard()) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] < 2**20 and peaks[40] - peaks[25] < 2**16, peaks
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("families", "15000", "2"), ("families", "25", "4", "--cap", "10")],
+    ids=["digit limit", "cap"],
+)
+def test_refused_listing_leaves_the_output_file_alone(argv, tmp_path, capsys):
+    # every check runs before --output is opened
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"kept\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    elif argv[1] == "15000":
+        pytest.skip("no int-to-str digit limit")
+    try:
+        assert main([*argv, "--output", str(target)]) == 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert target.read_bytes() == b"kept\n"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_is_one_error_line():
+    # families 40 4 prints 0.9 MB, far more than a pipe holds, so the child
+    # is still writing when the reader takes one line and closes the pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "jdist.cli", "families", "40", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=ROOT,
+    ) as proc:
+        assert proc.stdout.readline() == b"families for n=40, m=4: 11479\n"
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize("n, m", [(12, 3), (36, 3), (16, 4)])

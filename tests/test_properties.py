@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 import jdist.exactnum
-from jdist.cli import encode_json
+from jdist.cli import write_json
 from jdist.exactnum import (
     IntPointSet,
     NegativeDiscriminant,
@@ -566,6 +566,22 @@ def rand_json_tree(rng, depth=0):
     return {f"k{i}" + rand_json_text(rng): item for i, item in enumerate(items)}
 
 
+def encode_json(value) -> str:
+    """What :func:`write_json` writes, joined."""
+    pieces: list[str] = []
+    write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+def lazy(tree):
+    """``tree`` with every list replaced by a generator of its items."""
+    if type(tree) is list:
+        return (lazy(item) for item in tree)
+    if type(tree) is dict:
+        return {key: lazy(item) for key, item in tree.items()}
+    return tree
+
+
 def test_encode_json_matches_stdlib_indent_2():
     rng = random.Random(19)
     fixed = [
@@ -573,13 +589,19 @@ def test_encode_json_matches_stdlib_indent_2():
             "": [[], {}, [[]], {"": {}}],
             'q"\\\n\x00\x7f\xe9\U0001f600\ud800': [True, 1, False, 0, None, -3, 2**496],
         },
+        # a listing of some 9,000 pieces, written in several batches
+        {"count": 1500, "families": [{"k": [i, 2], "size": i} for i in range(1500)]},
+        [],
         *JSON_INTS,
         JSON_CHARS,
         True,
         None,
     ]
     for tree in fixed + [rand_json_tree(rng) for _ in range(250)]:
-        assert encode_json(tree) == json.dumps(tree, indent=2), tree
+        expected = json.dumps(tree, indent=2)
+        assert encode_json(tree) == expected, tree
+        # a generator stands where a list may, an empty one too
+        assert encode_json(lazy(tree)) == expected, tree
 
 
 class Level(enum.IntEnum):
