@@ -17,9 +17,11 @@ universal vertices join every clique and are only counted, and the rest,
 the conflict core, is colored once so that each color class is a
 conflict clique.  The bound is the number of classes still meeting the
 candidates.  Each class is a run of consecutive labels, so one carry
-through the candidate mask counts them in a constant number of integer
-operations per node.  A node budget with an explicit optimality flag and an
-exact upper bound keeps the open instances honest.
+through the candidate mask counts them when the search enters a child,
+and a sibling's count is its parent's, less one when a single AND shows
+that the branched vertex's class has no candidate left.  A node budget with
+an explicit optimality flag and an exact upper bound keeps the open
+instances honest.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
 from .exactnum import IntPointSet
@@ -257,12 +259,16 @@ def max_clique(universe: CandidateUniverse, budget: int = DEFAULT_BUDGET) -> Max
     a run's part of ``below`` is ``2**e - 2**s``.  Adding to it a nonempty
     subset of its own bits carries into bit ``e`` and never past it, which
     makes ``((candidates & below) + below | candidates) & tops`` the top
-    bits of exactly the classes that meet ``candidates``: a constant number
-    of big-integer operations per node, with nothing to undo on backtrack.
-    Branching on ``v`` removes ``v`` and its conflict neighbors from the
-    candidates.  The depth-first search keeps the candidates of its
-    suspended levels on an explicit stack, so its depth is not bounded by
-    the interpreter's recursion limit.
+    bits of exactly the classes that meet ``candidates``.  That count runs
+    only when the search enters a child.  Branching on ``v``, the top
+    candidate, removes ``v`` and its conflict neighbors from the child's
+    candidates; its siblings lose ``v`` alone, so their count is the
+    parent's, less one when ``v``'s class keeps no lower candidate: one
+    AND with ``start[v]``, the labels ``s..v-1``.  The compatible mask and
+    the bit of each label are built once.  The depth-first search keeps
+    the candidates and class count of its suspended levels on an explicit
+    stack, so its depth is not bounded by the interpreter's recursion
+    limit.
 
     ``budget`` caps vertex expansions; when exhausted the best clique so
     far is returned with ``optimal=False`` (a certified lower bound) next to
@@ -278,55 +284,68 @@ def max_clique(universe: CandidateUniverse, budget: int = DEFAULT_BUDGET) -> Max
             universal.append(v)
 
     order, colors = _color_order(core_mask, universe.conflicts)
-    label = {v: i for i, v in enumerate(order)}
-    conflicts: list[int] = []  # conflict neighbors of each core label
+    full = (1 << len(order)) - 1
+    bits = [1 << i for i in range(universe.size)]
+    bit_of = [0] * universe.size  # the bit of each core vertex's label
+    for v, bit in zip(order, bits):
+        bit_of[v] = bit
+    compatible: list[int] = []  # the labels outside each core label's conflicts
     for v in order:
         rest = universe.conflicts[v]
         mask = 0
         while rest:
-            low = rest & -rest
-            mask |= 1 << label[low.bit_length() - 1]
-            rest ^= low
-        conflicts.append(mask)
+            u = rest.bit_length() - 1
+            mask |= bit_of[u]
+            rest ^= bits[u]
+        compatible.append(full ^ mask)
 
+    label = {v: i for i, v in enumerate(order)}
     best = [label[v] for v in _greedy_clique(core_mask, universe.conflicts)]
 
     classes = colors[-1] if colors else 0
-    full = (1 << len(order)) - 1
-    tops = 0  # the last label of each color class
+    start: list[int] = []  # the labels of each label's color class below it
     for i, c in enumerate(colors):
-        if i + 1 == len(colors) or colors[i + 1] != c:
-            tops |= 1 << i
-    below = full ^ tops  # the other labels of each class
+        start.append(start[-1] | bits[i - 1] if i and colors[i - 1] == c else 0)
+    below = reduce(or_, start, 0)  # all labels but the last of each class
+    tops = full ^ below
 
     current: list[int] = []
-    stack: list[int] = []  # candidates of the suspended levels
+    stack: list[tuple[int, int]] = []  # candidates and live classes of the suspended levels
     candidates = full
+    live = classes  # the classes that still meet the candidates
+    depth = 0
+    best_size = len(best)
     expansions = 0
     optimal = True
     while True:
-        # the top bit of each class that still meets the candidates
-        live = ((candidates & below) + below | candidates) & tops
-        if candidates and len(current) + live.bit_count() > len(best):
+        # live is 0 only when no candidate is left, and the last candidate
+        # of a level is a leaf that lifts the incumbent past the depth
+        if depth + live > best_size:
             expansions += 1
             if expansions > budget:
                 optimal = False
                 break
             v = candidates.bit_length() - 1
-            candidates ^= 1 << v
-            current.append(v)
-            rest = candidates & ~conflicts[v]
+            candidates ^= bits[v]
+            if not candidates & start[v]:
+                live -= 1  # v was the last candidate of its class
+            rest = candidates & compatible[v]
             if rest:
-                stack.append(candidates)
+                stack.append((candidates, live))
+                current.append(v)
+                depth += 1
                 candidates = rest
-                continue
-            if len(current) > len(best):
-                best = list(current)
-        else:  # this level is done
-            if not stack:
-                break
-            candidates = stack.pop()
-        current.pop()
+                # the top bit of each class that still meets the candidates
+                live = (((rest & below) + below | rest) & tops).bit_count()
+            elif depth >= best_size:
+                best = current + [v]
+                best_size = depth + 1
+        elif stack:  # this level is done
+            candidates, live = stack.pop()
+            current.pop()
+            depth -= 1
+        else:
+            break
 
     vertices = tuple(sorted(universal + [order[i] for i in best]))
     upper_bound = len(vertices) if optimal else len(universal) + classes

@@ -40,6 +40,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "docs" / "report_schema.json"
 
 
+def child_env():
+    """The environment of a child process that imports jdist: this one's,
+    with the checkout's ``src`` ahead of any inherited ``PYTHONPATH``, since
+    pytest's ``pythonpath`` setting reaches only its own process."""
+    inherited = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
+
+
 def invoke(*argv):
     config = config_from_args(list(argv))
     stream = io.StringIO()
@@ -442,6 +451,7 @@ def test_closed_stdout_pipe_is_one_error_line():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=ROOT,
+        env=child_env(),
     ) as proc:
         assert proc.stdout.readline() == b"families for n=40, m=4: 11479\n"
         proc.stdout.close()
@@ -519,6 +529,7 @@ def test_entry_point_and_invalid_args():
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
@@ -528,6 +539,7 @@ def test_entry_point_and_invalid_args():
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=child_env(),
     )
     assert proc.returncode == 2
 
@@ -536,6 +548,7 @@ def test_entry_point_and_invalid_args():
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=child_env(),
     )
     assert proc.returncode == 2
 
@@ -639,7 +652,7 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
             [sys.executable, "-m", "jdist.cli", *argv],
             capture_output=True,
             cwd=ROOT,
-            env=os.environ,
+            env=child_env(),
         )
         got = (code, captured.out.encode("utf-8"), captured.err.encode("utf-8"))
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
@@ -686,6 +699,7 @@ def test_families_listing_is_capped():
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=child_env(),
     )
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -713,7 +727,11 @@ def test_sub2_large_n_up_to_the_factorization_bound(capsys):
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child, "sub2", "353552"], capture_output=True, text=True, cwd=ROOT
+        [sys.executable, "-c", child, "sub2", "353552"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert f"  johnson points: {math.comb(353551, 2)}" in proc.stdout.splitlines()
@@ -725,6 +743,7 @@ def test_sub2_large_n_up_to_the_factorization_bound(capsys):
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=child_env(),
     )
     assert time.perf_counter() - start < 0.5
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -416,6 +416,17 @@ def test_max_clique_traverses_like_the_reference_search():
         truncated += budget < full.expansions
     assert truncated >= 100
 
+    # masks past one machine word and deep stacks, searched to a budget
+    for density in (0.3, 0.6, 0.8, 0.9, 0.95):
+        size = rng.randint(61, 200)
+        universe = graph_universe(random_masks(rng, size, density))
+        budget = rng.randrange(3000)
+        assert max_clique(universe, budget=budget) == reference_max_clique(universe, budget)
+
+    universe = universe_of(Parameters(9, 4))
+    for budget in (0, 1, 2000):
+        assert max_clique(universe, budget=budget) == reference_max_clique(universe, budget)
+
 
 def test_max_clique_complete_and_edgeless_graphs():
     for size in (1, 2, 7, 14):
@@ -432,14 +443,15 @@ def test_max_clique_complete_and_edgeless_graphs():
 
 
 def test_max_clique_9_4_budget_speed():
-    # regression guard on the open case: 100,000 expansions took about 10 s
-    # with a recoloring at every node; the greedy incumbent already has 132
-    # vectors, as many as the best known extension
+    # regression guard on the open case: 100,000 expansions take about
+    # 0.05 s (Python 3.11, 2 shared vCPUs), so 1 s leaves a wide margin on
+    # a shared runner; the greedy incumbent already has 132 vectors, as
+    # many as the best known extension
     params = Parameters(9, 4)
     u = universe_of(params)
     start = time.perf_counter()
     result = max_clique(u, budget=100_000)
-    assert time.perf_counter() - start < 3.0
+    assert time.perf_counter() - start < 1.0
     assert result.expansions == 100_001 and not result.optimal
     assert result.size == 132
     assert result.upper_bound == 45 + 163  # universal vertices + root color classes
