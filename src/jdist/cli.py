@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
 from . import subjohnson
-from .exactnum import format_ratio, parse_quad
+from .exactnum import format_ratio, format_root, parse_quad
 from .families import (
     Parameters,
     addable_families,
@@ -288,15 +288,16 @@ def _classify_record(report, budget: int) -> dict:
 
 def _sub2_family_record(fam, intra: bool) -> dict:
     # the point shape ((a)^k, (a-1)^(n-1-k), (b)), without an empty run or an exponent 1
-    runs = ((fam.a, fam.k), (fam.low, fam.n - 1 - fam.k), (fam.b, 1))
+    a, low, b = (format_root(p, q, fam.f, fam.r) for p, q in fam.numerators)
+    runs = ((a, fam.k), (low, fam.n - 1 - fam.k), (b, 1))
     shape = ", ".join(f"({v})^{c}" if c > 1 else f"({v})" for v, c in runs if c)
     return {
         "label": fam.label,
         "n": fam.n,
         "k": fam.k,
         "size": fam.size,
-        "a": str(fam.a),
-        "b": str(fam.b),
+        "a": a,
+        "b": b,
         "point_shape": f"({shape})",
         "intra_two_distance": intra,
     }

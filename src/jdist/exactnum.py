@@ -308,10 +308,10 @@ class IntPointSet:
     - 1) * max L * max 2R + (max L + 1) * E + max 2R]`` with ``E`` the
     largest ``C - B(q, q)``; ``w`` is the fewest bytes (1, 2, 4 or 8, or the
     exact count above 8) that hold this bound, so no carry crosses a
-    field.  :meth:`row_keys` and :meth:`distinct_keys` take one such
-    product per ``f`` for one point against a run of points, collect its
-    distinct fields in one set (of tuples over several ``f``) and subtract
-    ``top`` from those alone.
+    field.  :meth:`block_keys`, :meth:`row_keys` and :meth:`distinct_keys`
+    take one such product per ``f`` for one point against a run of points
+    read once, collect its distinct fields in one set (of tuples over
+    several ``f``) and subtract ``top`` from those alone.
     """
 
     __slots__ = ("radicands", "denominator", "_size", "_plan", "_forms")
@@ -361,17 +361,24 @@ class IntPointSet:
     def row_keys(self, a: int, start: int, stop: int) -> list[tuple[int, ...]]:
         """Keys of point ``a`` against points ``start, ..., stop - 1``, for
         ``0 <= start <= stop <= size``."""
-        items, keys = _gram_row(self._forms, a, start, stop)
-        return list(map(keys.__getitem__, items))
+        return self.block_keys((a,), start, stop)[0]
+
+    def block_keys(self, rows: Iterable[int], start: int, stop: int) -> list[list[tuple[int, ...]]]:
+        """:meth:`row_keys` of each point of ``rows``, with the packed run of
+        points ``start, ..., stop - 1`` read once for all of them."""
+        runs = _runs(self._forms, start, stop)
+        rows = (_gram_row(self._forms, a, runs, stop - start) for a in rows)
+        return [list(map(keys.__getitem__, items)) for items, keys in rows]
 
     def distinct_keys(self) -> set[tuple[int, ...]]:
         """The set of keys over all pairs ``i < j``, the all-zero key when
-        two points coincide; each row's distinct fields are collected in
-        one set."""
-        size = self._size
-        keys = set()
+        two points coincide; the run is read once and drops its lowest point
+        per row, and each row's distinct fields are collected in one set."""
+        size, forms = self._size, self._forms
+        keys, runs = set(), _runs(forms, 0, size)
         for a in range(size - 1):
-            keys.update(_gram_row(self._forms, a, a + 1, size)[1].values())
+            runs = [run >> 8 * k * w for run, (_, _, _, k, w) in zip(runs, forms)]
+            keys.update(_gram_row(forms, a, runs, size - a - 1)[1].values())
         return keys
 
     def value_of(self, key: tuple[int, ...]) -> Fraction | QuadNum:
@@ -478,19 +485,22 @@ def _gram_forms(layout, components, rows, dim: int) -> tuple[list, list, memoryv
     return [n + cap for n in norms], packed_lefts, packed_rights, count, width
 
 
-def _gram_row(forms, a: int, start: int, stop: int) -> tuple[Sequence, dict]:
-    """Point ``a`` against the points ``q = start, ..., stop - 1``, from one
-    product per f: one item per q, its field ``top - D(a, q)`` with ``top =
-    B(a, a) + C`` for one f and the tuple of those fields for several, and
-    a dict from each distinct item to its key, ``D(a, q)`` per f."""
+def _runs(forms, start: int, stop: int) -> list[int]:
+    """Per f, the fields of points ``start, ..., stop - 1`` as one integer."""
+    return [int.from_bytes(r[start * k * w : stop * k * w], "little") for _, _, r, k, w in forms]
+
+
+def _gram_row(forms, a: int, runs: Sequence[int], length: int) -> tuple[Sequence, dict]:
+    """Point ``a`` against the ``length`` points q that :func:`_runs` read
+    into ``runs``, one product per f: one item per q, its field ``top - D(a,
+    q)`` with ``top = B(a, a) + C`` for one f and the tuple of those fields
+    for several, and a dict from each distinct item to its key, ``D(a, q)`` per f."""
     tops, fields = [], []
-    for f_tops, lefts, rights, count, width in forms:
-        step = count * width  # bytes of one point's fields
-        run = int.from_bytes(rights[start * step : stop * step], "little")
+    for (f_tops, lefts, _, count, width), run in zip(forms, runs):
         # no carry crosses a field, so the product ends at the field where
-        # the top fields of both factors meet, (stop - start + 1) * count - 2;
+        # the top fields of both factors meet, (length + 1) * count - 2;
         # field (j + 1) * count - 1 belongs to the j-th point of the run
-        product = (run * lefts[a]).to_bytes((stop - start + 1) * step - width, "little")
+        product = (run * lefts[a]).to_bytes(((length + 1) * count - 1) * width, "little")
         tops.append(f_tops[a])
         fields.append(_fields(product, width, count - 1, count))
     if len(fields) == 1:
@@ -552,13 +562,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_quad(value: Scalar) -> str:
-    q = QuadNum.of(value)
-    if not q.terms:
-        return "0"
-    parts = []
-    for rad, coeff in q.terms:
-        parts.append(str(coeff) if rad == 1 else f"{coeff}*sqrt({rad})")
-    return "+".join(parts)
+    return _format_terms((rad, str(coeff)) for rad, coeff in QuadNum.of(value).terms)
+
+
+def format_root(p: int, q: int, f: int, r: int) -> str:
+    """``format_quad`` of ``(p + q*sqrt(f)) / r`` for integers, ``f`` squarefree
+    and ``q = 0`` if ``f = 1``, without building it, as :func:`format_ratio`."""
+    return _format_terms((rad, format_ratio(c, r)) for rad, c in ((1, p), (f, q)) if c)
+
+
+def _format_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Nonzero terms ``(r, c)``, ascending in r, as ``c`` or ``c*sqrt(r)`` joined by ``+``."""
+    return "+".join(c if rad == 1 else f"{c}*sqrt({rad})" for rad, c in terms) or "0"
 
 
 def parse_quad(text: str) -> QuadNum:

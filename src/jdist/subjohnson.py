@@ -53,23 +53,29 @@ class SubFamily:
     f: int
     r: int
 
-    def _value(self, p: int, q: int) -> QuadNum:
+    @property
+    def numerators(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+        """The ``(p, q)`` of ``a``, ``a - 1`` and ``b``, each ``(p + q sqrt(f)) / r``."""
+        n, k, p, q, r = self.n, self.k, self.p, self.q, self.r
+        return (p, q), (p - r, q), ((n - k + 1) * r - (n - 1) * p, -(n - 1) * q)
+
+    def _value(self, slot: int) -> QuadNum:
+        p, q = self.numerators[slot]
         # f comes from a squarefree split, so nothing is factored again
         return QuadNum._normal(((1, Fraction(p, self.r)), (self.f, Fraction(q, self.r))))
 
     @cached_property
     def a(self) -> QuadNum:
-        return self._value(self.p, self.q)
+        return self._value(0)
 
     @cached_property
     def low(self) -> QuadNum:
         """The value ``a - 1`` of the lower slots."""
-        return self._value(self.p - self.r, self.q)
+        return self._value(1)
 
     @cached_property
     def b(self) -> QuadNum:
-        n, k = self.n, self.k
-        return self._value((n - k + 1) * self.r - (n - 1) * self.p, -(n - 1) * self.q)
+        return self._value(2)
 
     @property
     def label(self) -> str:
@@ -188,8 +194,9 @@ def combination_search(n: int) -> CombinationReport:
 
     Validity of a subset reduces to intra-family validity plus pairwise
     cross-family validity (the Johnson side is two-distance by
-    construction); subsets are enumerated exhaustively over at most eight
-    families and flagged maximal when no further family fits.
+    construction).  Each usable family has a bit and the mask of the usable
+    families it fits with; subsets, over at most eight families, grow by a
+    member of the AND of their members' masks, and are maximal when it is 0.
 
     Both are decided per family, no orbit materialized: for p in a family
     with upper slots S, |S| = k, and q with S', |S'| = k', ``<p, q> =
@@ -204,10 +211,9 @@ def combination_search(n: int) -> CombinationReport:
     families = solve_sub_families(n)
     allowed = set(TWO_DISTANCE)
     intra = tuple(allowed.issuperset(range(2, 2 * min(f.k, n - f.k - 1) + 1, 2)) for f in families)
-    usable = [i for i, ok in enumerate(intra) if ok]
+    usable = [f for f, ok in zip(families, intra) if ok]
 
-    def two_distance(i: int, j: int) -> bool:
-        one, two = families[i], families[j]
+    def two_distance(one: SubFamily, two: SubFamily) -> bool:
         if one.q and two.q and one.f != two.f:
             return False
         k, k2 = one.k, two.k
@@ -218,29 +224,18 @@ def combination_search(n: int) -> CombinationReport:
         f, r = one.f if one.q else two.f, one.r * two.r
         return any(_vanishes(_distance_form(n, k2 - k, t), p, q, f, r) for t in starts)
 
-    compatible = {(i, j): two_distance(i, j) for i, j in itertools.combinations(usable, 2)}
-
-    combos = []
-    valid_sets = []
-    for r in range(1, len(usable) + 1):
-        for subset in itertools.combinations(usable, r):
-            if all(compatible[(i, j)] for i, j in itertools.combinations(subset, 2)):
-                valid_sets.append(subset)
-    valid_lookup = set(valid_sets)
-    for subset in valid_sets:
-        extendable = any(
-            other not in subset and tuple(sorted(subset + (other,))) in valid_lookup
-            for other in usable
-        )
-        added = sum(families[i].size for i in subset)
-        combos.append(
-            FamilyCombination(
-                tuple(families[i].label for i in subset),
-                added,
-                sub_johnson_size(n) + added,
-                not extendable,
-            )
-        )
+    fits = [0] * len(usable)
+    for b, c in itertools.combinations(range(len(usable)), 2):
+        if two_distance(usable[b], usable[c]):
+            fits[b] |= 1 << c
+            fits[c] |= 1 << b
+    subsets = [((), 0, (1 << len(usable)) - 1, 0)]  # labels, added, AND of masks, next bit
+    for labels, added, common, start in subsets:  # grows while it is walked
+        for c, fam in enumerate(usable[start:], start):
+            if common >> c & 1:
+                subsets.append(((*labels, fam.label), added + fam.size, common & fits[c], c + 1))
+    johnson = sub_johnson_size(n)
+    combos = [FamilyCombination(s[0], s[1], johnson + s[1], not s[2]) for s in subsets[1:]]
     combos.sort(key=lambda c: (-c.added, c.labels))
     return CombinationReport(n, tuple(families), intra, tuple(combos))
 
@@ -262,10 +257,10 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
     pair must preserve the distance to everything already placed.  The
     search keeps its levels in a list, not in Python frames, so the
     recursion limit does not bound the set size.  Both sets are keyed over
-    one shared :class:`IntPointSet`; points are padded with zero
-    coordinates to the largest dimension, which changes no distance.  Each
-    point is keyed against its own set by one :meth:`IntPointSet.row_keys`
-    row, and its sorted row is its profile.
+    one shared :class:`IntPointSet`; points short of the largest dimension
+    are padded with zero coordinates, which changes no distance.  Each
+    set is keyed against itself by one :meth:`IntPointSet.block_keys`, one
+    row per point, and a point's sorted row is its profile.
     """
     if len(set_a) != len(set_b):
         return False
@@ -275,9 +270,9 @@ def congruent(set_a: Sequence[Sequence], set_b: Sequence[Sequence]) -> bool:
 
     points = [*set_a, *set_b]
     dim = max(map(len, points))
-    exact = IntPointSet([(*p, *[0] * (dim - len(p))) for p in points])
-    da = [exact.row_keys(i, 0, size) for i in range(size)]
-    db = [exact.row_keys(size + i, size, 2 * size) for i in range(size)]
+    exact = IntPointSet([p if len(p) == dim else (*p, *[0] * (dim - len(p))) for p in points])
+    da = exact.block_keys(range(size), 0, size)
+    db = exact.block_keys(range(size, 2 * size), size, 2 * size)
     sig_a = [tuple(sorted(row)) for row in da]
     sig_b = [tuple(sorted(row)) for row in db]
     if sorted(sig_a) != sorted(sig_b):

@@ -13,6 +13,7 @@ from jdist.exactnum import (
     QuadNum,
     format_quad,
     format_ratio,
+    format_root,
     parse_quad,
     parse_rational,
     solve_quadratic,
@@ -84,6 +85,25 @@ def test_format_ratio_is_fraction_text():
             assert format_ratio(num, -den) == str(F(num, -den)), (num, -den)
     with pytest.raises(ZeroDivisionError):
         format_ratio(1, 0)
+
+
+def test_format_root_is_quad_text():
+    # every printed slot value of every family, from its integer root
+    for n in range(5, 401):
+        for fam in solve_sub_families(n):
+            for (p, q), value in zip(fam.numerators, (fam.a, fam.low, fam.b)):
+                assert format_root(p, q, fam.f, fam.r) == format_quad(value), (fam, p, q)
+    # q = 0, p = 0, negative numerators, r > 1 and r < 0, f = 1 only with q = 0
+    rng = random.Random(35)
+    cases = [(0, 0, 1, 1), (0, 0, 7, 3), (5, 0, 1, 1), (0, -4, 2, 6), (-3, 0, 1, -9)]
+    for _ in range(2000):
+        f = rng.choice((1, 2, 3, 5, 6, 21, 353549))
+        q = 0 if f == 1 or rng.randrange(4) == 0 else rng.randint(-50, 50)
+        p = 0 if rng.randrange(4) == 0 else rng.randint(-(10**20), 10**20)
+        cases.append((p, q, f, rng.choice((1, 2, 10, 42, 10**30 + 7, -1, -12))))
+    for p, q, f, r in cases:
+        value = QuadNum([(1, F(p, r)), (f, F(q, r))])
+        assert format_root(p, q, f, r) == format_quad(value), (p, q, f, r)
 
 
 def test_quad_serialization_round_trip():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from jdist.cli import config_from_args, main
-from jdist.exactnum import format_quad
+from jdist.exactnum import QuadNum, format_quad
 from jdist.families import CandidateFamily, Parameters
 from jdist.maximality import classify, four_distance_witness_points
 
@@ -145,3 +145,22 @@ def test_sub2_sweep_digests(fmt, capsys):
         assert (captured.err == "") == (pinned["code"] == 0), n
         data = captured.out.encode("utf-8")
         assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == pinned[fmt], n
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+def test_sub2_reports_build_no_quadnum(fmt, monkeypatch, capsys):
+    # every printed a, a - 1 and b comes from the integer roots: a report
+    # that built a QuadNum would raise here
+    def refuse(*args, **kwargs):
+        raise AssertionError("sub2 built a QuadNum")
+
+    monkeypatch.setattr(QuadNum, "__init__", refuse)
+    monkeypatch.setattr(QuadNum, "_normal", classmethod(refuse))
+    for n in ("5", "9", "10", "17"):
+        assert main(["sub2", n, "--format", fmt]) == 0
+        data = capsys.readouterr().out.encode("utf-8")
+        digest = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        assert digest == SUB2_SWEEP[n][fmt], n
+        golden = GOLDEN / f"sub2_{n}.{SUFFIX[fmt]}"
+        if golden.exists():
+            assert data == golden.read_bytes(), n

@@ -118,6 +118,37 @@ def test_row_and_distinct_keys_match_quadnum_arithmetic():
         assert_rows_match(points, rng)
 
 
+@pytest.mark.parametrize("radicands", [(1,), (1, 5), (1, 2, 3)])
+def test_block_keys_match_row_keys(radicands):
+    # one read of a run serves every row of a block: each block row is the
+    # row_keys row of its point, and its keys give the ring-arithmetic values
+    rng = random.Random(35 + len(radicands))
+    for _ in range(40):
+        dim, size = rng.randrange(1, 4), rng.randrange(1, 7)
+
+        def coordinate():
+            chosen = rng.sample(radicands, rng.randrange(len(radicands) + 1))
+            return QuadNum({rad: rand_coefficient(rng) for rad in chosen})
+
+        points = [tuple(coordinate() for _ in range(dim)) for _ in range(size)]
+        every = QuadNum({rad: F(rng.randrange(1, 37), rng.randrange(1, 13)) for rad in radicands})
+        points[0] = (every, *points[0][1:])  # so that the basis holds every radicand
+        exact = IntPointSet(points)
+        assert exact.radicands == radicands
+        last = size - 1
+        runs = [(0, 0), (last, last), (last, size), (0, 1), (0, size)]
+        runs.append(sorted(rng.sample(range(size + 1), 2)))
+        blocks = [[], [last], [0], list(range(size)), rng.sample(range(size), rng.randrange(size + 1))]
+        for start, stop in runs:
+            for rows in blocks:
+                block = exact.block_keys(rows, start, stop)
+                assert block == [exact.row_keys(a, start, stop) for a in rows]
+                for a, row in zip(rows, block):
+                    assert len(row) == stop - start
+                    for b, key in enumerate(row, start):
+                        assert exact.value_of(key) == quad_sq_dist(points[a], points[b])
+
+
 def test_packed_keys_with_coefficients_above_64_bits():
     # denominators of about 10**30, as sub2 makes them, and numerators past
     # 2**64: the packed fields are wider than 8 bytes

@@ -15,6 +15,8 @@ from jdist.exactnum import IntPointSet, QuadNum, squarefree_decompose
 from jdist.families import Parameters
 from jdist.subjohnson import (
     TWO_DISTANCE,
+    CombinationReport,
+    FamilyCombination,
     SubFamily,
     _distance_form,
     _vanishes,
@@ -302,6 +304,65 @@ def test_combination_search_materializes_no_orbit(monkeypatch, capsys):
     assert combination_search(17) == expected
     assert main(["sub2", "17"]) == 0
     assert "S1+ + S2-: [122]  PASS" in capsys.readouterr().out
+
+
+def reference_combination_search(n):
+    """The subset walk before family masks: every usable subset whose pairs
+    all fit, then maximal unless adding one more usable family gives a
+    subset in that list.  The pair test is the one-pair-per-family-pair
+    test of :func:`combination_search`."""
+    families = solve_sub_families(n)
+    allowed = set(TWO_DISTANCE)
+    intra = tuple(allowed.issuperset(range(2, 2 * min(f.k, n - f.k - 1) + 1, 2)) for f in families)
+    usable = [i for i, ok in enumerate(intra) if ok]
+
+    def two_distance(i, j):
+        one, two = families[i], families[j]
+        if one.q and two.q and one.f != two.f:
+            return False
+        k, k2 = one.k, two.k
+        steps = range(min(k, k2) - max(0, k + k2 - n + 1) + 1)
+        starts = [d for d in TWO_DISTANCE if allowed.issuperset(d + 2 * s for s in steps)]
+        p, q = one.p * two.r - two.p * one.r, one.q * two.r - two.q * one.r
+        f, r = one.f if one.q else two.f, one.r * two.r
+        return any(_vanishes(_distance_form(n, k2 - k, t), p, q, f, r) for t in starts)
+
+    compatible = {(i, j): two_distance(i, j) for i, j in itertools.combinations(usable, 2)}
+    valid_sets = [
+        subset
+        for r in range(1, len(usable) + 1)
+        for subset in itertools.combinations(usable, r)
+        if all(compatible[pair] for pair in itertools.combinations(subset, 2))
+    ]
+    valid_lookup = set(valid_sets)
+    combos = []
+    for subset in valid_sets:
+        extendable = any(
+            other not in subset and tuple(sorted(subset + (other,))) in valid_lookup
+            for other in usable
+        )
+        added = sum(families[i].size for i in subset)
+        labels = tuple(families[i].label for i in subset)
+        combos.append(FamilyCombination(labels, added, sub_johnson_size(n) + added, not extendable))
+    combos.sort(key=lambda c: (-c.added, c.labels))
+    return CombinationReport(n, tuple(families), intra, tuple(combos))
+
+
+@pytest.mark.parametrize("n", [*range(5, 65), 100, 200, 1000])
+def test_combination_search_matches_the_pairwise_reference(n):
+    # the family masks decide validity and maximality as the pairwise
+    # enumeration with its sorted-tuple maximality probe does
+    report, expected = combination_search(n), reference_combination_search(n)
+    assert report.n == expected.n
+    assert report.families == expected.families
+    assert report.intra_valid == expected.intra_valid
+    assert report.combinations == expected.combinations
+
+
+def test_combination_search_and_reference_refuse_n4():
+    for search in (combination_search, reference_combination_search):
+        with pytest.raises(ValueError):
+            search(4)
 
 
 def test_combination_unions_verify():
